@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use dioph_cq::{line_column, parse_program_spanned, Span, SpannedQuery, Term};
+use dioph_cq::{parse_program_spanned, LineIndex, Span, SpannedQuery, Term};
 
 use crate::classify::{classify_pair, FragmentClass};
 use crate::cost::{estimate_cost, CostEstimate};
@@ -117,14 +117,16 @@ enum Role {
 }
 
 struct Emitter<'a> {
-    source: &'a str,
+    /// Shared by every emitter over the same source, so positions resolve
+    /// through one line-start table per source.
+    lines: &'a LineIndex<'a>,
     config: &'a LintConfig,
     out: Vec<Diagnostic>,
 }
 
 impl<'a> Emitter<'a> {
-    fn new(source: &'a str, config: &'a LintConfig) -> Self {
-        Emitter { source, config, out: Vec::new() }
+    fn new(lines: &'a LineIndex<'a>, config: &'a LintConfig) -> Self {
+        Emitter { lines, config, out: Vec::new() }
     }
 
     /// Emits `code` at its registered default severity.
@@ -148,7 +150,7 @@ impl<'a> Emitter<'a> {
         if severity == Severity::Allow {
             return;
         }
-        let (line, column) = line_column(self.source, span.start);
+        let (line, column) = self.lines.line_column(span.start);
         self.out.push(Diagnostic {
             code,
             name: lint.name,
@@ -344,20 +346,22 @@ fn style_lints(emitter: &mut Emitter<'_>, sq: &SpannedQuery) {
 /// of the program (heads included — a head predicate is not a body
 /// relation, so only body atoms are compared).
 fn arity_lints(emitter: &mut Emitter<'_>, queries: &[SpannedQuery]) {
-    let mut first_use: BTreeMap<String, (usize, String, usize, usize)> = BTreeMap::new();
+    // (arity, query name, byte offset) of each relation's first use; the
+    // offset resolves to a line and column only when D012 fires.
+    let mut first_use: BTreeMap<String, (usize, String, usize)> = BTreeMap::new();
     for sq in queries {
         for occ in &sq.spans.atoms {
             let arity = occ.atom.terms().len();
-            let (line, column) = line_column(emitter.source, occ.relation_span.start);
             match first_use.get(occ.atom.relation()) {
                 None => {
                     first_use.insert(
                         occ.atom.relation().to_string(),
-                        (arity, sq.query.name().to_string(), line, column),
+                        (arity, sq.query.name().to_string(), occ.relation_span.start),
                     );
                 }
-                Some((expected, query0, line0, column0)) => {
+                Some((expected, query0, offset0)) => {
                     if arity != *expected {
+                        let (line0, column0) = emitter.lines.line_column(*offset0);
                         let message = format!(
                             "relation {} is used with arity {arity}, but query {query0} uses \
                              it with arity {expected} (line {line0}, column {column0})",
@@ -382,7 +386,8 @@ pub fn containee_fragment_diagnostics(
     source: &str,
     config: &LintConfig,
 ) -> Vec<Diagnostic> {
-    let mut emitter = Emitter::new(source, config);
+    let lines = LineIndex::new(source);
+    let mut emitter = Emitter::new(&lines, config);
     fragment_lints(&mut emitter, sq, Role::Containee);
     emitter.out.retain(|d| d.severity == Severity::Error);
     emitter.out
@@ -395,7 +400,8 @@ pub fn analyze_pairs(
     source: &str,
     config: &LintConfig,
 ) -> ProgramAnalysis {
-    let mut program = Emitter::new(source, config);
+    let lines = LineIndex::new(source);
+    let mut program = Emitter::new(&lines, config);
     arity_lints(&mut program, queries);
     if !queries.len().is_multiple_of(2) {
         let last = queries.last().expect("odd length is at least one");
@@ -411,7 +417,7 @@ pub fn analyze_pairs(
     let mut pairs = Vec::new();
     for (i, chunk) in queries.chunks_exact(2).enumerate() {
         let (containee, containing) = (&chunk[0], &chunk[1]);
-        let mut emitter = Emitter::new(source, config);
+        let mut emitter = Emitter::new(&lines, config);
         fragment_lints(&mut emitter, containee, Role::Containee);
         fragment_lints(&mut emitter, containing, Role::Containing);
         style_lints(&mut emitter, containee);

@@ -1,8 +1,9 @@
 //! Process-wide counters for the hybrid representation's fast path.
 //!
-//! The rational hot path (simplex pivots, Fourier–Motzkin combinations) is
-//! instrumented with two relaxed atomic counters — compiled unconditionally,
-//! **not** gated behind `debug_assertions` — so release binaries can report
+//! The rational hot path (simplex reduced costs and witnesses,
+//! Fourier–Motzkin combinations) is instrumented with two relaxed atomic
+//! counters — compiled unconditionally, **not** gated behind
+//! `debug_assertions` — so release binaries can report
 //! how often the machine-word fast path fired versus falling back to the
 //! limb representation. `diophantus bench --json` surfaces the numbers;
 //! future performance work can watch the promotion frequency move.

@@ -368,12 +368,8 @@ mod tests {
     use dioph_cq::paper_examples;
     use dioph_cq::{parse_query, Term};
 
-    const ENGINES: [FeasibilityEngine; 4] = [
-        FeasibilityEngine::Simplex,
-        FeasibilityEngine::Bareiss,
-        FeasibilityEngine::Auto,
-        FeasibilityEngine::FourierMotzkin,
-    ];
+    const ENGINES: [FeasibilityEngine; 2] =
+        [FeasibilityEngine::Simplex, FeasibilityEngine::FourierMotzkin];
 
     fn all_deciders() -> Vec<BagContainmentDecider> {
         let mut out = Vec::new();

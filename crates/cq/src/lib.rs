@@ -53,7 +53,7 @@ pub use parser::{
 };
 pub use probe::{canonical_active_domain, most_general_probe_tuple, probe_tuples, ProbeSpace};
 pub use query::ConjunctiveQuery;
-pub use span::{line_column, AtomOccurrence, QuerySpans, Span, SpannedQuery};
+pub use span::{line_column, AtomOccurrence, LineIndex, QuerySpans, Span, SpannedQuery};
 pub use substitution::Substitution;
 pub use term::Term;
 pub use ucq::UnionOfConjunctiveQueries;

@@ -9,9 +9,9 @@
 //! in the source text, and [`SpannedQuery`] carries that table next to the
 //! query. Downstream analyses (`dioph-analyze`, the `diophantus check`
 //! subcommand) resolve spans back to 1-based line/column coordinates with
-//! [`line_column`] — the same resolution the parser's own
-//! `ProgramParseError` uses, so analyzer diagnostics and parse errors point
-//! into files identically.
+//! [`LineIndex`] (or the one-shot [`line_column`]) — the same resolution the
+//! parser's own `ProgramParseError` uses, so analyzer diagnostics and parse
+//! errors point into files identically.
 
 use crate::atom::Atom;
 use crate::query::ConjunctiveQuery;
@@ -169,19 +169,53 @@ impl SpannedQuery {
 /// assert_eq!(line_column(text, 30), (2, 14));
 /// ```
 pub fn line_column(input: &str, position: usize) -> (usize, usize) {
-    let position = position.min(input.len());
-    let bytes = input.as_bytes();
-    let mut line = 1;
-    let mut line_start = 0;
-    for (i, &b) in bytes.iter().enumerate().take(position) {
-        if b == b'\n' {
-            line += 1;
-            line_start = i + 1;
-        }
+    LineIndex::new(input).line_column(position)
+}
+
+/// [`line_column`] for many offsets into one source: the table of line
+/// starts is built once, on the first lookup, and each lookup is a binary
+/// search plus a character count within the line. Resolving one position
+/// per query of a program therefore stays linear in the program size, where
+/// repeated [`line_column`] calls would rescan the source from byte 0 each
+/// time.
+///
+/// ```
+/// use dioph_cq::LineIndex;
+///
+/// let lines = LineIndex::new("q(x) <- R(x, x).\np(x) <- S(x, y).");
+/// assert_eq!(lines.line_column(0), (1, 1));
+/// assert_eq!(lines.line_column(30), (2, 14));
+/// ```
+#[derive(Debug)]
+pub struct LineIndex<'a> {
+    source: &'a str,
+    /// Byte offset of the first byte of every line, in increasing order.
+    line_starts: std::cell::OnceCell<Vec<usize>>,
+}
+
+impl<'a> LineIndex<'a> {
+    /// An index over `source`; nothing is scanned until the first lookup.
+    pub fn new(source: &'a str) -> Self {
+        LineIndex { source, line_starts: std::cell::OnceCell::new() }
     }
-    // Count characters by counting non-continuation bytes.
-    let column = 1 + bytes[line_start..position].iter().filter(|b| (*b & 0xC0) != 0x80).count();
-    (line, column)
+
+    /// The 1-based `(line, column)` of a byte offset, with the conventions
+    /// of [`line_column`].
+    pub fn line_column(&self, position: usize) -> (usize, usize) {
+        let bytes = self.source.as_bytes();
+        let position = position.min(bytes.len());
+        let starts = self.line_starts.get_or_init(|| {
+            let newlines = bytes.iter().enumerate().filter(|(_, &b)| b == b'\n');
+            std::iter::once(0).chain(newlines.map(|(i, _)| i + 1)).collect()
+        });
+        // The line holding `position` is the last one starting at or before
+        // it; line 1 starts at 0, so there is always one.
+        let line = starts.partition_point(|&start| start <= position);
+        let line_start = starts[line - 1];
+        // Count characters by counting non-continuation bytes.
+        let column = 1 + bytes[line_start..position].iter().filter(|b| (*b & 0xC0) != 0x80).count();
+        (line, column)
+    }
 }
 
 #[cfg(test)]
@@ -253,6 +287,22 @@ mod tests {
         let y = program[1].variable_span("y").unwrap();
         assert_eq!(y.slice(input), "y");
         assert_eq!(line_column(input, y.start), (3, 14));
+    }
+
+    #[test]
+    fn line_index_agrees_with_a_byte_by_byte_scan_at_every_offset() {
+        // The reference: walk the source up to the offset, counting lines
+        // and the characters since the last newline.
+        let text = "a\n\nbé c\r\nλ(x) <- R(x).\n";
+        let lines = LineIndex::new(text);
+        for position in 0..=text.len() + 2 {
+            let clamped = position.min(text.len());
+            let before = &text.as_bytes()[..clamped];
+            let line = 1 + before.iter().filter(|&&b| b == b'\n').count();
+            let line_start = before.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+            let column = 1 + before[line_start..].iter().filter(|b| (*b & 0xC0) != 0x80).count();
+            assert_eq!(lines.line_column(position), (line, column), "offset {position}");
+        }
     }
 
     #[test]

@@ -464,6 +464,18 @@ pub(crate) fn decide_pair_parallel(
     pair: &CompiledPair,
     jobs: usize,
 ) -> Result<BagContainment, ContainmentError> {
+    run_probe_pool(decider, pair, jobs).0
+}
+
+/// The single-pair pool behind [`decide_pair_parallel`]. Also returns the
+/// scheduler's per-worker claimed-unit tallies (one entry per spawned
+/// worker): they belong to this run alone, unlike the process-global
+/// `engine.units_claimed` counter and pool stats.
+fn run_probe_pool(
+    decider: &BagContainmentDecider,
+    pair: &CompiledPair,
+    jobs: usize,
+) -> (Result<BagContainment, ContainmentError>, Vec<u64>) {
     // Never spawn more workers than there are claimable units: `--jobs 8`
     // on a 3-probe pair gets 3 threads, not 8 (5 of which could only idle).
     let workers = jobs.min(pair.probe_units()).max(1);
@@ -482,9 +494,11 @@ pub(crate) fn decide_pair_parallel(
         }
     });
     scheduler.finish();
-    slot.into_inner()
+    let result = slot
+        .into_inner()
         .expect("probe workers never panic")
-        .expect("the admitted pair is always finalized")
+        .expect("the admitted pair is always finalized");
+    (result, scheduler.state.into_inner().expect("probe workers never panic").claims)
 }
 
 #[cfg(test)]
@@ -535,12 +549,12 @@ mod tests {
         let units = pair.probe_units();
         assert!(units < 64, "the example must be smaller than the job count");
         let decider = BagContainmentDecider::new(Algorithm::AllProbes);
-        dioph_obs::pool::reset();
-        decide_pair_parallel(&decider, &pair, 64).unwrap();
-        let workers: Vec<_> =
-            dioph_obs::pool::snapshot().into_iter().filter(|w| w.pool == "probe").collect();
-        assert!(!workers.is_empty());
-        assert!(workers.len() <= units, "{} workers for {units} units", workers.len());
+        // The scheduler's own per-worker tallies, not the process-global
+        // pool stats that concurrently running tests also write.
+        let (result, claims) = run_probe_pool(&decider, &pair, 64);
+        result.unwrap();
+        assert!(!claims.is_empty());
+        assert!(claims.len() <= units, "{} workers for {units} units", claims.len());
     }
 
     #[test]
@@ -551,9 +565,10 @@ mod tests {
         let q = parse_query("q(x1, x2) <- R(x1, x2), R('c1', x2), R^3(x1, 'c2')").unwrap();
         let pair = CompiledPair::new(q.clone(), q.clone()).unwrap();
         let decider = BagContainmentDecider::new(Algorithm::AllProbes);
-        let before = dioph_obs::registry::snapshot();
-        decide_pair_parallel(&decider, &pair, 8).unwrap();
-        let delta = dioph_obs::registry::snapshot().since(&before);
-        assert_eq!(delta.get("engine.units_claimed"), Some(pair.probe_units() as u64));
+        // Summed from this run's scheduler: the global `engine.units_claimed`
+        // counter also moves with every sibling test deciding in parallel.
+        let (result, claims) = run_probe_pool(&decider, &pair, 8);
+        result.unwrap();
+        assert_eq!(claims.iter().sum::<u64>(), pair.probe_units() as u64);
     }
 }

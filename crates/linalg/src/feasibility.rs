@@ -16,12 +16,11 @@
 //! engines of [`FeasibilityEngine`] for deciding it and extracting natural
 //! witnesses. The rows are stored as sparse **integer** [`IntRow`]s built
 //! straight from the non-zero exponent differences — the fraction-free
-//! Bareiss kernel consumes them as-is, and the rational engines receive
-//! them converted once, up front.
+//! simplex consumes them as-is, and Fourier–Motzkin receives them converted
+//! once, up front.
 
 use dioph_arith::{Integer, Natural, Rational};
 
-use crate::bareiss;
 use crate::error::LinalgError;
 use crate::fourier_motzkin::{self, FmOutcome, UpperForm};
 use crate::row::{IntRow, Row};
@@ -32,29 +31,13 @@ use crate::system::{Constraint, LinearSystem, Relation};
 /// Which engine to use when deciding feasibility.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum FeasibilityEngine {
-    /// Exact rational phase-1 simplex (default; polynomial in practice).
+    /// Exact fraction-free phase-1 simplex of [`crate::simplex`] (default;
+    /// polynomial in practice).
     #[default]
     Simplex,
-    /// The fraction-free integer simplex of [`crate::bareiss`]: identical
-    /// pivot sequence, verdict and witness as [`Self::Simplex`], but every
-    /// intermediate value stays an integer with one exact division per row
-    /// per pivot — the route for systems whose pivot values outgrow machine
-    /// words.
-    Bareiss,
-    /// Picks [`Self::Bareiss`] past the measured machine-word cliff
-    /// (≈ 16 unknowns × 48 rows, or any coefficient already beyond `i64`)
-    /// and [`Self::Simplex`] below it. Verdicts and witnesses are identical
-    /// either way, so the choice is pure performance.
-    Auto,
     /// Fourier–Motzkin elimination (simple, doubly exponential worst case).
     FourierMotzkin,
 }
-
-/// The `Auto` route switches to the fraction-free kernel when the tableau
-/// has at least this many cells (dimension × rows): the measured cliff where
-/// rational pivot values stop fitting machine words for good (lp_ablation,
-/// 16 unknowns × 48 rows).
-const AUTO_FRACTION_FREE_CELLS: usize = 16 * 48;
 
 /// A system `{ rows[i] · ε > 0 }` over non-negative unknowns `ε`.
 ///
@@ -160,11 +143,6 @@ impl StrictHomogeneousSystem {
             .collect()
     }
 
-    /// The stored integer rows, cloned — the fraction-free kernel's input.
-    pub fn to_int_rows(&self) -> Vec<IntRow> {
-        self.rows.clone()
-    }
-
     /// Renders the system as a [`LinearSystem`] with strict rows and explicit
     /// non-negativity constraints (used by tests and displays; the engines
     /// themselves run on the stored rows).
@@ -196,9 +174,9 @@ impl StrictHomogeneousSystem {
     }
 
     /// [`Self::rational_solution`] through a caller-provided scratch: the
-    /// simplex and fraction-free routes draw every working buffer from
-    /// `scratch` (recycled there afterwards), so a warmed scratch decides a
-    /// system with no heap allocation beyond the returned witness. Reuse is
+    /// simplex draws every working buffer from `scratch` (recycled there
+    /// afterwards), so a warmed scratch decides a system with no heap
+    /// allocation beyond the returned witness. Reuse is
     /// capacity-only — verdicts and witnesses are bit-identical to the
     /// fresh-allocation route. The Fourier–Motzkin engine ignores the
     /// scratch (it is not on any hot path).
@@ -219,35 +197,16 @@ impl StrictHomogeneousSystem {
         if self.rows.iter().any(super::row::GenRow::is_zero_row) {
             return Ok(None);
         }
-        let engine = self.resolve_auto(engine);
         match engine {
             FeasibilityEngine::Simplex => {
                 // Homogeneity: A·ε > 0, ε ≥ 0 feasible  ⟺  A·ε ≥ 1, ε ≥ 0
-                // feasible — the scaled kernel bakes in b = 1 and converts
-                // the stored integer coefficients straight into pooled
-                // tableau storage.
-                match simplex::feasible_point_scaled_in(
-                    self.dimension,
-                    &self.rows,
-                    &mut scratch.rational,
-                )? {
+                // feasible — the scaled kernel bakes in b = 1 and takes the
+                // stored integer rows untranslated.
+                match simplex::feasible_point_scaled_in(self.dimension, &self.rows, scratch)? {
                     SimplexOutcome::Feasible(x) => Ok(Some(x)),
                     SimplexOutcome::Infeasible => Ok(None),
                 }
             }
-            FeasibilityEngine::Bareiss => {
-                // Same homogeneity scaling; the stored integer rows are
-                // handed over untranslated.
-                match bareiss::feasible_point_scaled_in(
-                    self.dimension,
-                    &self.rows,
-                    &mut scratch.integer,
-                )? {
-                    SimplexOutcome::Feasible(x) => Ok(Some(x)),
-                    SimplexOutcome::Infeasible => Ok(None),
-                }
-            }
-            FeasibilityEngine::Auto => unreachable!("resolve_auto picked a concrete engine"),
             FeasibilityEngine::FourierMotzkin => {
                 // Each strict row A_i·ε > 0 normalises to -A_i·ε < 0, and
                 // each non-negativity ε_j ≥ 0 to -ε_j ≤ 0 — all sparse.
@@ -278,24 +237,6 @@ impl StrictHomogeneousSystem {
                     FmOutcome::Infeasible => Ok(None),
                 }
             }
-        }
-    }
-
-    /// Resolves [`FeasibilityEngine::Auto`] to a concrete simplex route:
-    /// fraction-free past the machine-word cliff (large tableau, or any
-    /// coefficient already beyond `i64`), rational below it. Both produce
-    /// identical results; this is a pure performance choice.
-    fn resolve_auto(&self, engine: FeasibilityEngine) -> FeasibilityEngine {
-        if engine != FeasibilityEngine::Auto {
-            return engine;
-        }
-        let cells = self.dimension.saturating_mul(self.rows.len());
-        let has_big_coefficient =
-            self.rows.iter().any(|row| row.iter_nonzero().any(|(_, c)| c.to_i64().is_none()));
-        if cells >= AUTO_FRACTION_FREE_CELLS || has_big_coefficient {
-            FeasibilityEngine::Bareiss
-        } else {
-            FeasibilityEngine::Simplex
         }
     }
 
@@ -370,12 +311,8 @@ pub fn scale_to_naturals(point: &[Rational]) -> Vec<Natural> {
 mod tests {
     use super::*;
 
-    const ENGINES: [FeasibilityEngine; 4] = [
-        FeasibilityEngine::Simplex,
-        FeasibilityEngine::Bareiss,
-        FeasibilityEngine::Auto,
-        FeasibilityEngine::FourierMotzkin,
-    ];
+    const ENGINES: [FeasibilityEngine; 2] =
+        [FeasibilityEngine::Simplex, FeasibilityEngine::FourierMotzkin];
 
     #[test]
     fn empty_system_is_feasible() {
@@ -466,44 +403,6 @@ mod tests {
     }
 
     #[test]
-    fn bareiss_and_simplex_witnesses_are_identical() {
-        // Not just the verdict: the rational witness itself must match,
-        // component for component (that is what keeps the JSON certificates
-        // byte-identical across --lp-route settings).
-        let mut sys = StrictHomogeneousSystem::new(3);
-        sys.push_row_i64(&[-5, 1, 3]);
-        sys.push_row_i64(&[-3, -1, 3]);
-        sys.push_row_i64(&[-1, 1, -1]);
-        let simplex = sys.rational_solution(FeasibilityEngine::Simplex).unwrap();
-        let bareiss = sys.rational_solution(FeasibilityEngine::Bareiss).unwrap();
-        let auto = sys.rational_solution(FeasibilityEngine::Auto).unwrap();
-        assert_eq!(simplex, bareiss);
-        assert_eq!(simplex, auto);
-    }
-
-    #[test]
-    fn auto_resolves_by_size_and_coefficient_width() {
-        let mut small = StrictHomogeneousSystem::new(2);
-        small.push_row_i64(&[1, -1]);
-        assert_eq!(small.resolve_auto(FeasibilityEngine::Auto), FeasibilityEngine::Simplex);
-        // A coefficient past i64 flips the choice regardless of size.
-        let mut wide = StrictHomogeneousSystem::new(2);
-        wide.push_row(vec![Integer::from(i64::MAX) * Integer::from(4), Integer::from(-1)]);
-        assert_eq!(wide.resolve_auto(FeasibilityEngine::Auto), FeasibilityEngine::Bareiss);
-        // So does sheer size (the measured cliff).
-        let mut big = StrictHomogeneousSystem::new(16);
-        for i in 0..48 {
-            let mut row = vec![0i64; 16];
-            row[i % 16] = 1;
-            row[(i + 1) % 16] = -1;
-            big.push_row_i64(&row);
-        }
-        assert_eq!(big.resolve_auto(FeasibilityEngine::Auto), FeasibilityEngine::Bareiss);
-        // Concrete engines resolve to themselves.
-        assert_eq!(big.resolve_auto(FeasibilityEngine::Simplex), FeasibilityEngine::Simplex);
-    }
-
-    #[test]
     fn sparse_rows_mirror_the_integer_rows() {
         let mut sys = StrictHomogeneousSystem::new(5);
         sys.push_row_i64(&[0, 3, 0, -2, 0]);
@@ -516,7 +415,7 @@ mod tests {
         assert_eq!(rows[0].get(0), None);
         assert_eq!(rows[1].nnz(), 1);
         // The stored integer rows carry the same values.
-        let int_rows = sys.to_int_rows();
+        let int_rows = sys.rows();
         assert_eq!(int_rows[0].get(1), Some(&Integer::from(3)));
         assert_eq!(int_rows[1].get(0), Some(&Integer::one()));
     }

@@ -9,20 +9,18 @@
 //!
 //! * [`LinearSystem`] / [`Constraint`] — general rational linear constraints
 //!   (strict and non-strict inequalities and equalities);
-//! * [`Row`] / [`SparseRow`] — the shared coefficient-row abstraction the
+//! * [`IntRow`] / [`Row`] — the shared coefficient-row abstraction the
 //!   engines pivot and eliminate over, generic over the coefficient type
 //!   ([`GenRow`]); the mostly-zero rows of the paper's strict homogeneous
 //!   systems are stored sparsely, so zero-skipping comes from the
 //!   representation instead of per-loop checks;
 //! * [`fourier_motzkin`] — Fourier–Motzkin elimination with witness
-//!   extraction (the "obviously correct" engine);
-//! * [`simplex`] — an exact rational phase-1 simplex (the scalable engine);
-//! * [`bareiss`] — the fraction-free integer twin of the simplex: every
-//!   intermediate value stays an integer ([`IntRow`]), with a single exact
-//!   gcd division per row per pivot instead of a rational reduction per
-//!   entry. Pivot sequences, verdicts and witnesses are bit-identical to
-//!   [`simplex`]; it exists for the regime where pivot values outgrow
-//!   machine words (the `lp_ablation` cliff);
+//!   extraction (the "obviously correct" engine, and the reference the
+//!   simplex is tested against);
+//! * [`simplex`] — an exact phase-1 simplex (the scalable engine). It is
+//!   fraction-free: the tableau is [`IntRow`]s, every intermediate value
+//!   stays an integer, and each row takes a single exact gcd division per
+//!   pivot instead of a rational reduction per entry;
 //! * [`StrictHomogeneousSystem`] — the exact shape produced by the paper's
 //!   reduction, with natural-number witness extraction
 //!   ([`StrictHomogeneousSystem::natural_solution`]).
@@ -37,17 +35,13 @@
 //! sys.push_row_i64(&[-1, 1, -1]);
 //! let witness = sys.natural_solution(FeasibilityEngine::Simplex).unwrap().unwrap();
 //! assert!(sys.is_satisfied_by_naturals(&witness));
-//! // The fraction-free route reaches the identical witness.
-//! assert_eq!(
-//!     Some(witness),
-//!     sys.natural_solution(FeasibilityEngine::Bareiss).unwrap(),
-//! );
+//! // Fourier–Motzkin reaches the same verdict.
+//! assert!(sys.is_feasible(FeasibilityEngine::FourierMotzkin).unwrap());
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bareiss;
 mod error;
 mod feasibility;
 pub mod fourier_motzkin;

@@ -12,11 +12,11 @@
 //!
 //! Two instantiations are used:
 //!
-//! * [`Row`] (`GenRow<Rational>`) — the exact rational rows of the
-//!   [`simplex`](crate::simplex) and Fourier–Motzkin engines;
 //! * [`IntRow`] (`GenRow<Integer>`) — the integer rows of the fraction-free
-//!   [`bareiss`](crate::bareiss) kernel, where every intermediate value stays
-//!   an integer and division happens once per row, exactly.
+//!   [`simplex`](crate::simplex), where every intermediate value stays an
+//!   integer and division happens once per row, exactly;
+//! * [`Row`] (`GenRow<Rational>`) — the exact rational rows of the
+//!   Fourier–Motzkin engine.
 //!
 //! A sparse row that fills in past half its width during elimination is
 //! densified on the spot, so the worst case degrades to the dense algorithm
@@ -70,8 +70,8 @@ pub struct GenSparseRow<T> {
     pub(crate) entries: Vec<(usize, T)>,
 }
 
-/// The rational instantiation of [`GenSparseRow`] (the simplex and
-/// Fourier–Motzkin rows).
+/// The rational instantiation of [`GenSparseRow`] (the Fourier–Motzkin
+/// rows).
 pub type SparseRow = GenSparseRow<Rational>;
 
 impl<T: Coeff> GenSparseRow<T> {
@@ -135,10 +135,10 @@ pub enum GenRow<T> {
     Sparse(GenSparseRow<T>),
 }
 
-/// The exact rational row of the simplex and Fourier–Motzkin engines.
+/// The exact rational row of the Fourier–Motzkin engine.
 pub type Row = GenRow<Rational>;
 
-/// The integer row of the fraction-free Bareiss kernel.
+/// The integer row of the fraction-free simplex.
 pub type IntRow = GenRow<Integer>;
 
 /// A sparse row is only worth its bookkeeping while it stays under half
@@ -272,7 +272,7 @@ impl<T: Coeff> GenRow<T> {
     /// Moves a dense row back to the sparse representation when its density
     /// has receded to the sparse side of the threshold. Elimination both
     /// creates and *cancels* fill-in; without this the densification in
-    /// `eliminate` is a one-way ratchet and later passes scan dense zeros
+    /// the simplex's elimination step is a one-way ratchet and later passes scan dense zeros
     /// forever. The engines call it at pivot boundaries (once per updated
     /// row per pivot), so the scan amortises against the elimination that
     /// just walked the same row.
@@ -294,8 +294,9 @@ impl<T: Coeff> GenRow<T> {
 
     /// `true` iff the representation matches the density threshold: sparse
     /// rows hold at most half their width in non-zeros, dense rows more.
-    /// This is the invariant `auto` establishes and
-    /// `eliminate`/[`Self::resparsify`] maintain (asserted by the proptests).
+    /// This is the invariant `auto` establishes and the simplex's
+    /// elimination step plus [`Self::resparsify`] maintain (asserted by its
+    /// tests).
     pub fn representation_is_canonical(&self) -> bool {
         match self {
             GenRow::Dense(_) => !sparse_is_worth_it(self.nnz(), self.dim()),
@@ -313,77 +314,6 @@ impl<T: Coeff> GenRow<T> {
 }
 
 impl Row {
-    /// Divides every non-zero coefficient by `divisor` in place (the
-    /// normalisation half of a pivot).
-    ///
-    /// # Panics
-    /// Panics if `divisor` is zero.
-    pub fn scale_div(&mut self, divisor: &Rational) {
-        match self {
-            GenRow::Dense(v) => {
-                for value in v.iter_mut() {
-                    if !value.is_zero() {
-                        *value = &*value / divisor;
-                    }
-                }
-            }
-            GenRow::Sparse(s) => {
-                for (_, value) in s.entries.iter_mut() {
-                    *value = &*value / divisor;
-                }
-            }
-        }
-    }
-
-    /// The shared elimination routine: `self -= factor * src`, skipping the
-    /// column `skip` (the pivot column, whose new value the caller already
-    /// knows to be zero). A sparse row that fills in past the densify
-    /// threshold is converted to dense here.
-    pub fn eliminate(&mut self, factor: &Rational, src: &Row, skip: usize) {
-        let mut spare = Vec::new(); // alloc-ok: convenience wrapper; hot loops use eliminate_with
-        self.eliminate_with(factor, src, skip, &mut spare);
-    }
-
-    /// [`Self::eliminate`] with a caller-provided merge buffer: the sparse
-    /// merge writes into `spare` and swaps it with the row's entry storage,
-    /// so a buffer threaded through a pivot loop makes every elimination
-    /// allocation-free in the steady state. On return `spare` holds the
-    /// row's *previous* entries (cleared on next use).
-    pub fn eliminate_with(
-        &mut self,
-        factor: &Rational,
-        src: &Row,
-        skip: usize,
-        spare: &mut Vec<(usize, Rational)>,
-    ) {
-        match self {
-            GenRow::Dense(v) => {
-                for (col, coeff) in src.iter_nonzero() {
-                    if col == skip {
-                        continue;
-                    }
-                    let delta = factor * coeff;
-                    v[col] -= &delta;
-                }
-            }
-            GenRow::Sparse(s) => {
-                merge_sparse(
-                    spare,
-                    &s.entries,
-                    src,
-                    skip,
-                    Rational::clone,
-                    |vs| -(factor * vs),
-                    |vt, vs| vt - &(factor * vs),
-                );
-                core::mem::swap(&mut s.entries, spare);
-                if !sparse_is_worth_it(s.entries.len(), s.dim) {
-                    *self = GenRow::Dense(s.to_dense());
-                }
-            }
-        }
-    }
-
     /// The shared combination routine: `a_coeff * a + b_coeff * b` as a new
     /// row (the Fourier–Motzkin pair step). Exact zeros produced by
     /// cancellation are dropped.
@@ -461,7 +391,7 @@ impl<'a, T: Coeff> Iterator for RowIter<'a, T> {
     }
 }
 
-/// The sorted two-stream merge both elimination kernels share: walks the
+/// The sorted two-stream merge of the simplex's elimination step: walks the
 /// `target` entries and the non-`skip` entries of `src` in column order,
 /// producing `map_target(v)` for target-only columns, `map_src(v)` for
 /// src-only columns and `combine(vt, vs)` where both are present. Exact
@@ -606,84 +536,13 @@ mod tests {
     }
 
     #[test]
-    fn scale_div_normalises() {
-        for mut row in [dense(&[0, 4, 0, -6]), sparse(4, &[(1, 4), (3, -6)])] {
-            row.scale_div(&r(2));
-            assert_eq!(row.get(1), Some(&r(2)));
-            assert_eq!(row.get(3), Some(&r(-3)));
-        }
-    }
-
-    #[test]
-    fn eliminate_matches_dense_reference() {
-        // target -= 2 * src with skip = 0.
-        let target_vals = [3i64, 0, 5, -1, 0, 2, 0, 0];
-        let src_vals = [7i64, 1, 0, -1, 4, 2, 0, 0];
-        let factor = r(2);
-        let mut expect: Vec<Rational> = target_vals.iter().map(|&v| r(v)).collect();
-        for (i, &s) in src_vals.iter().enumerate() {
-            if i != 0 {
-                expect[i] -= &(&factor * &r(s));
-            }
-        }
-        for mut target in [
-            dense(&target_vals),
-            Row::from_dense_auto(&target_vals.iter().map(|&v| r(v)).collect::<Vec<_>>()),
-            Row::sparse(
-                8,
-                target_vals
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &v)| v != 0)
-                    .map(|(i, &v)| (i, r(v)))
-                    .collect(),
-            ),
-        ] {
-            for src in [
-                dense(&src_vals),
-                Row::sparse(
-                    8,
-                    src_vals
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &v)| v != 0)
-                        .map(|(i, &v)| (i, r(v)))
-                        .collect(),
-                ),
-            ] {
-                let mut t = target.clone();
-                t.eliminate(&factor, &src, 0);
-                assert_eq!(t.to_dense_vec(), expect);
-            }
-            // Also exercise in-place repeated elimination.
-            target.eliminate(&r(0), &dense(&src_vals), 0);
-        }
-    }
-
-    #[test]
-    fn eliminate_densifies_on_fill_in() {
-        let mut target = sparse(8, &[(0, 1)]);
-        let src = dense(&[0, 1, 1, 1, 1, 1, 1, 1]);
-        target.eliminate(&r(1), &src, usize::MAX);
-        assert!(matches!(target, Row::Dense(_)), "fill-in past half must densify");
-        assert_eq!(target.to_dense_vec(), dense(&[1, -1, -1, -1, -1, -1, -1, -1]).to_dense_vec());
-    }
-
-    #[test]
     fn resparsify_undoes_receded_fill_in() {
-        // Densify by fill-in, then cancel most of the row again: the ratchet
-        // must release at the pivot boundary.
-        let mut row = sparse(8, &[(0, 1)]);
-        let fill = dense(&[0, 1, 1, 1, 1, 1, 1, 1]);
-        row.eliminate(&r(1), &fill, usize::MAX);
-        assert!(matches!(row, Row::Dense(_)));
+        // A dense row still past the threshold stays dense ...
+        let mut row = dense(&[1, 1, 1, 1, 1, 0, 0, 0]);
         row.resparsify();
-        assert!(matches!(row, Row::Dense(_)), "still 8/8 non-zero: stays dense");
-        // Cancel six of the eight entries (add back +1 on columns 1..=6).
-        let cancel = dense(&[0, 1, 1, 1, 1, 1, 1, 0]);
-        row.eliminate(&r(-1), &cancel, usize::MAX);
-        assert_eq!(row.nnz(), 2);
-        assert!(matches!(row, Row::Dense(_)), "eliminate alone must not convert dense rows");
+        assert!(matches!(row, Row::Dense(_)), "5/8 non-zero: stays dense");
+        // ... one whose density receded goes back to sparse.
+        let mut row = dense(&[1, 0, 0, 0, 0, 0, 0, -1]);
         assert!(!row.representation_is_canonical());
         row.resparsify();
         assert!(matches!(row, Row::Sparse(_)), "receded fill-in must re-sparsify");

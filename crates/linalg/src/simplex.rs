@@ -1,6 +1,6 @@
-//! Exact rational phase-1 simplex.
+//! Exact phase-1 simplex over integer rows, fraction-free.
 //!
-//! This is the scalable feasibility engine backing Theorem 4.2 of the paper
+//! This is the feasibility engine backing Theorem 4.2 of the paper
 //! (polynomial-time decidability of the Diophantine-solution problem for
 //! MPIs). It decides whether the polyhedron
 //!
@@ -8,27 +8,52 @@
 //!     { x ∈ ℚⁿ  :  A·x ≥ b,  x ≥ 0 }
 //! ```
 //!
-//! is non-empty and, if so, returns a rational point inside it. All pivoting
-//! is performed with exact [`Rational`] arithmetic; Bland's rule guarantees
-//! termination (no cycling).
+//! for integer `A` and `b` is non-empty and, if so, returns a rational point
+//! inside it. Bland's rule guarantees termination (no cycling).
 //!
-//! The tableau rows live behind the [`Row`] abstraction: the strict
+//! The tableau stays in integers (Bareiss/Edmonds style) instead of reducing
+//! every rational entry to lowest terms after every operation:
+//!
+//! * each row `i` stores integer coefficients plus one positive denominator
+//!   `d_i`, representing the rational row `r_i / d_i`;
+//! * a pivot on `(leave, enter)` with stored pivot `L` updates every other
+//!   row by the two-term cross-multiplication `r_i ← L·r_i − r_i[enter]·r_l`
+//!   (the Bareiss step), with a **single** exact division per row — the row
+//!   is reduced by the gcd of its entries, rhs and denominator;
+//! * the strict Bareiss variant divides by the previous pivot instead, but
+//!   it needs a denominator shared by *all* rows, which forces every row —
+//!   including the untouched ones — to be rescaled on every pivot. On the
+//!   sparse tableaus of Theorem 4.1 that throws away the zero-skipping the
+//!   row representation exists for, so this kernel uses the gcd-normalised
+//!   per-row form: rows whose pivot-column entry is zero are skipped
+//!   entirely, and the per-row gcd bounds coefficient growth at least as
+//!   tightly as the previous-pivot division.
+//!
+//! Every decision the simplex takes — Bland's entering column (sign of a
+//! reduced cost), the ratio test (comparison of `rhs_i/coeff_i` across
+//! rows), tie-breaking, termination — is invariant under scaling a row by a
+//! positive constant, so the run pivots exactly as a rational tableau would,
+//! and witness components are read off as canonical [`Rational`]s.
+//!
+//! The tableau rows live behind the [`IntRow`] abstraction: the strict
 //! homogeneous systems of the paper's reduction produce rows that are mostly
 //! zeros (plus one surplus and at most one artificial coefficient), so the
-//! feasibility front-end hands in [`Row::Sparse`] rows and the pivot loop
-//! skips zeros by construction. Dense callers (and dense fill-in) take the
-//! [`Row::Dense`] route through the same [`Row::eliminate`] kernel.
+//! pivot loop skips zeros by construction.
+//!
+//! Before any tableau is built, a ratio-test-free prune rejects systems with
+//! a row whose coefficients are all `≤ 0` against a positive right-hand side:
+//! no `x ≥ 0` can satisfy it.
 //!
 //! Strict inequalities are handled one level up (by the
 //! [`StrictHomogeneousSystem`](crate::StrictHomogeneousSystem) machinery)
 //! via the homogeneity of the systems produced by the paper's reduction:
 //! `A·x > 0, x ≥ 0` is rationally feasible iff `A·x ≥ 1, x ≥ 0` is.
 
-use dioph_arith::Rational;
+use dioph_arith::{Integer, Natural, Rational};
 
 use crate::error::{iteration_budget, LinalgError};
-use crate::row::{IntRow, Row};
-use crate::scratch::{auto_pooled, KernelScratch};
+use crate::row::{merge_sparse, sparse_is_worth_it, GenRow, IntRow};
+use crate::scratch::{auto_pooled, LpScratch};
 
 /// Result of a phase-1 simplex run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -54,27 +79,8 @@ impl SimplexOutcome {
     }
 }
 
-/// Finds `x ≥ 0` with `A·x ≥ b` (row-wise), if such a point exists.
-///
-/// `a` is a dense row-major matrix; every row must have the same length.
-/// This is the dense convenience front door; [`feasible_point_rows`] is the
-/// engine and accepts sparse rows directly.
-///
-/// # Errors
-/// [`LinalgError::IterationBudget`] if the run exceeds its iteration budget.
-///
-/// # Panics
-/// Panics if the number of rows of `a` differs from the length of `b`, or if
-/// the rows of `a` have inconsistent lengths.
-pub fn feasible_point(a: &[Vec<Rational>], b: &[Rational]) -> Result<SimplexOutcome, LinalgError> {
-    let n = a.first().map_or(0, std::vec::Vec::len);
-    for row in a {
-        assert_eq!(row.len(), n, "ragged matrix passed to simplex");
-    }
-    feasible_point_rows(n, a.iter().map(|row| Row::from_dense_auto(row)).collect(), b.to_vec())
-}
-
-/// Finds `x ≥ 0` with `A·x ≥ b` for rows in either representation.
+/// Finds `x ≥ 0` with `A·x ≥ b` (row-wise) for integer rows `A`, if such a
+/// point exists.
 ///
 /// # Errors
 /// [`LinalgError::IterationBudget`] if the run exceeds its iteration budget
@@ -85,87 +91,94 @@ pub fn feasible_point(a: &[Vec<Rational>], b: &[Rational]) -> Result<SimplexOutc
 /// # Panics
 /// Panics if a row's dimension differs from `n`, or if the number of rows
 /// differs from the length of `b`.
-pub fn feasible_point_rows(
+pub fn feasible_point(
     n: usize,
-    a: Vec<Row>,
-    b: Vec<Rational>,
+    a: &[IntRow],
+    b: &[Integer],
 ) -> Result<SimplexOutcome, LinalgError> {
-    let budget = iteration_budget(n + 2 * a.len(), a.len());
-    feasible_point_rows_with_budget(n, a, b, budget)
+    feasible_point_with_budget(n, a, b, iteration_budget(n + 2 * a.len(), a.len()))
 }
 
-/// [`feasible_point_rows`] with an explicit iteration budget (regression
-/// tests drive budget blowouts through here; production callers use the
-/// default budget).
+/// [`feasible_point`] with an explicit iteration budget (regression tests
+/// drive budget blowouts through here; production callers use the default
+/// budget).
 ///
 /// # Errors
 /// [`LinalgError::IterationBudget`] after `max_iterations` pivots.
 ///
 /// # Panics
-/// As [`feasible_point_rows`].
-pub fn feasible_point_rows_with_budget(
+/// As [`feasible_point`].
+pub fn feasible_point_with_budget(
     n: usize,
-    a: Vec<Row>,
-    b: Vec<Rational>,
+    a: &[IntRow],
+    b: &[Integer],
     max_iterations: usize,
-) -> Result<SimplexOutcome, LinalgError> {
-    let mut scratch = KernelScratch::default();
-    feasible_point_rows_in(n, &a, &b, max_iterations, &mut scratch)
-}
-
-/// [`feasible_point_rows_with_budget`] through a caller-provided scratch:
-/// every working buffer (standard-form staging, tableau rows, per-pivot
-/// reduced costs and basis bitmap, elimination merge output) is drawn from
-/// `scratch` and recycled there, so a warmed scratch makes the whole run
-/// allocation-free apart from the returned witness. Reuse is capacity-only:
-/// pivots and outcome are bit-identical to the fresh-allocation route.
-pub(crate) fn feasible_point_rows_in(
-    n: usize,
-    a: &[Row],
-    b: &[Rational],
-    max_iterations: usize,
-    scratch: &mut KernelScratch<Rational>,
 ) -> Result<SimplexOutcome, LinalgError> {
     assert_eq!(a.len(), b.len(), "row count mismatch between A and b");
+    solve_in(n, a, |i| b[i].clone(), max_iterations, &mut LpScratch::default())
+}
+
+/// The feasibility front door for MPI-derived systems: decides
+/// `A·x ≥ 1, x ≥ 0` (the homogeneity scaling of `A·x > 0`) for the stored
+/// integer rows directly, with no materialised `b` and no row clones, through
+/// a caller-provided scratch. Every working buffer is drawn from `scratch`
+/// and recycled there, so a warmed scratch makes the whole run
+/// allocation-free apart from the returned witness. Reuse is capacity-only:
+/// pivots and outcome are bit-identical to [`feasible_point`] with `b = 1`.
+pub(crate) fn feasible_point_scaled_in(
+    n: usize,
+    a: &[IntRow],
+    scratch: &mut LpScratch,
+) -> Result<SimplexOutcome, LinalgError> {
+    solve_in(n, a, |_| Integer::one(), iteration_budget(n + 2 * a.len(), a.len()), scratch)
+}
+
+/// Builds the standard-form tableau for `A·x ≥ rhs(i)` in `scratch` and
+/// pivots it to optimality.
+fn solve_in(
+    n: usize,
+    a: &[IntRow],
+    rhs: impl Fn(usize) -> Integer,
+    max_iterations: usize,
+    scratch: &mut LpScratch,
+) -> Result<SimplexOutcome, LinalgError> {
     for row in a {
         assert_eq!(row.dim(), n, "row dimension mismatch in simplex input");
     }
     if a.is_empty() {
         return Ok(SimplexOutcome::Feasible(vec![Rational::zero(); n])); // alloc-ok: returned witness
     }
+    // Ratio-test-free pruning: a row with no positive coefficient cannot
+    // reach a positive right-hand side on x ≥ 0.
+    if a.iter().enumerate().any(|(i, row)| {
+        rhs(i).is_positive() && row.iter_nonzero().all(|(_, value)| !value.is_positive())
+    }) {
+        return Ok(SimplexOutcome::Infeasible);
+    }
 
-    // Standard form: for every row  a_i·x - s_i = b_i  with s_i ≥ 0.
-    // Rows are normalised so the right-hand side is non-negative; rows that
-    // end up with rhs = 0 or that originally had b_i ≤ 0 can use the surplus
-    // (or its negation, a slack) as the initial basic variable, all other
-    // rows receive an artificial variable.
+    // Standard form: for every row  a_i·x - s_i = b_i  with s_i ≥ 0, stored
+    // as sorted sparse entries over the final column layout (the x-part
+    // indices are already increasing, and the surplus column n+i comes after
+    // all of them). Rows are normalised so the right-hand side is
+    // non-negative; rows that originally had b_i ≤ 0 use the surplus (or its
+    // negation, a slack) as the initial basic variable, all other rows
+    // receive an artificial variable.
     //
     // Column layout: [ x (n) | s (m) | artificials (k) ].
     scratch.reset();
-    for (i, (a_row, b_i)) in a.iter().zip(b).enumerate() {
-        // a_i·x - s_i = b_i, stored as sorted sparse entries over the final
-        // column layout (the x-part indices are already increasing, and the
-        // surplus column n+i comes after all of them).
+    for (i, a_row) in a.iter().enumerate() {
         let mut entries = scratch.pool.take();
         entries.extend(a_row.iter_nonzero().map(|(col, v)| (col, v.clone())));
-        entries.push((n + i, -Rational::one()));
-        let mut rhs_i = b_i.clone();
-        if rhs_i.is_negative() {
-            // Multiply the whole equation by -1 so the rhs is non-negative;
-            // the surplus column then carries +1 and can serve as the basis.
+        entries.push((n + i, Integer::minus_one()));
+        let mut rhs_i = rhs(i);
+        if rhs_i.is_negative() || rhs_i.is_zero() {
+            // Flip the equation so the rhs is non-negative and the surplus
+            // column carries +1 (it then serves as the initial basis).
             for (_, value) in entries.iter_mut() {
                 let taken = core::mem::take(value);
                 *value = -taken;
             }
             rhs_i = -rhs_i;
-            scratch.needs_artificial.push(false);
-        } else if rhs_i.is_zero() {
-            // rhs already zero: the surplus variable (value 0) can be basic
-            // only if its coefficient is +1; flip the row to make it so.
-            for (_, value) in entries.iter_mut() {
-                let taken = core::mem::take(value);
-                *value = -taken;
-            }
             scratch.needs_artificial.push(false);
         } else {
             scratch.needs_artificial.push(true);
@@ -177,56 +190,26 @@ pub(crate) fn feasible_point_rows_in(
     attach_artificials_and_run(n, max_iterations, scratch)
 }
 
-/// The feasibility front door for MPI-derived systems: decides
-/// `A·x ≥ 1, x ≥ 0` for integer rows `A` (the homogeneity scaling of
-/// `A·x > 0`), converting each coefficient to [`Rational`] exactly once,
-/// straight into pooled entry storage — no intermediate rationalised row
-/// vector and no materialised `b`. Pivots and outcome are bit-identical to
-/// [`feasible_point_rows`] on `to_sparse_rows()` input with `b = 1`.
-pub(crate) fn feasible_point_scaled_in(
-    n: usize,
-    a: &[IntRow],
-    scratch: &mut KernelScratch<Rational>,
-) -> Result<SimplexOutcome, LinalgError> {
-    let max_iterations = iteration_budget(n + 2 * a.len(), a.len());
-    if a.is_empty() {
-        return Ok(SimplexOutcome::Feasible(vec![Rational::zero(); n])); // alloc-ok: returned witness
-    }
-    scratch.reset();
-    for (i, a_row) in a.iter().enumerate() {
-        debug_assert_eq!(a_row.dim(), n, "row dimension mismatch in simplex input");
-        let mut entries = scratch.pool.take();
-        entries.extend(a_row.iter_nonzero().map(|(col, v)| (col, Rational::from(v))));
-        entries.push((n + i, -Rational::one()));
-        // rhs = 1 is positive, so every row starts on an artificial variable
-        // (the `b_i > 0` arm of the general construction).
-        scratch.needs_artificial.push(true);
-        scratch.staged.push(entries);
-        scratch.rhs.push(Rational::one());
-    }
-
-    attach_artificials_and_run(n, max_iterations, scratch)
-}
-
 /// Second construction pass plus the pivot loop: extends the staged rows
 /// with their artificial column (the artificial count is only known once
 /// every row is staged), records the initial basis and pivots to optimality.
 fn attach_artificials_and_run(
     n: usize,
     max_iterations: usize,
-    scratch: &mut KernelScratch<Rational>,
+    scratch: &mut LpScratch,
 ) -> Result<SimplexOutcome, LinalgError> {
     let m = scratch.staged.len();
     let k = scratch.needs_artificial.iter().filter(|&&needs| needs).count();
     let total = n + m + k;
 
-    // Extend rows with their artificial column and record the initial basis.
+    // Per-row positive denominators: row i represents rows[i] / dens[i].
+    scratch.dens.resize(m, Natural::one());
     {
         let mut art_idx = 0;
         for i in 0..m {
             let mut entries = core::mem::take(&mut scratch.staged[i]);
             if scratch.needs_artificial[i] {
-                entries.push((n + m + art_idx, Rational::one()));
+                entries.push((n + m + art_idx, Integer::one()));
                 scratch.basis.push(n + m + art_idx);
                 art_idx += 1;
             } else {
@@ -239,7 +222,7 @@ fn attach_artificials_and_run(
         scratch.staged.clear();
     }
 
-    let KernelScratch { rows, rhs, basis, in_basis, reduced, merge_buf, .. } = scratch;
+    let LpScratch { rows, rhs, dens, basis, in_basis, reduced, merge_buf, .. } = scratch;
     let mut iterations = 0usize;
 
     loop {
@@ -249,10 +232,13 @@ fn attach_artificials_and_run(
             return Err(LinalgError::IterationBudget { iterations: max_iterations });
         }
 
-        // Reduced costs: r_j = c_j - Σ_i c_{basis[i]} * T[i][j]. The phase-1
-        // cost vector is 0/1 (1 exactly on artificial columns), so the sum
-        // collapses to plain subtractions over the non-zeros of the
-        // artificial-basic rows — one pass over stored entries, no lookups.
+        // Reduced costs: r_j = c_j - Σ_i c_{basis[i]} * T[i][j], as exact
+        // rationals (signs drive Bland's rule, and summing across rows needs
+        // the true per-row scales). The phase-1 cost vector is 0/1 (1 exactly
+        // on artificial columns), so the sum collapses to plain subtractions
+        // over the non-zeros of the artificial-basic rows. This is the only
+        // per-entry rational arithmetic: the eliminate pass below is pure
+        // integers.
         in_basis.clear();
         in_basis.resize(total, false);
         for &basic in basis.iter() {
@@ -262,10 +248,10 @@ fn attach_artificials_and_run(
         for j in 0..total {
             reduced.push(if j >= n + m { Rational::one() } else { Rational::zero() });
         }
-        for (row, &basic) in rows.iter().zip(basis.iter()) {
+        for ((row, den), &basic) in rows.iter().zip(dens.iter()).zip(basis.iter()) {
             if basic >= n + m {
                 for (j, value) in row.iter_nonzero() {
-                    reduced[j] -= value;
+                    reduced[j] -= &Rational::new(value.clone(), den.clone());
                 }
             }
         }
@@ -273,11 +259,11 @@ fn attach_artificials_and_run(
         let entering = (0..total).find(|&j| !in_basis[j] && reduced[j].is_negative());
 
         let Some(enter) = entering else {
-            // Optimal: compute the objective value (sum of artificial basics).
+            // Optimal: the objective is the sum of the artificial basics.
             let mut obj = Rational::zero();
             for i in 0..m {
                 if basis[i] >= n + m {
-                    obj += &rhs[i];
+                    obj += &Rational::new(rhs[i].clone(), dens[i].clone());
                 }
             }
             if !obj.is_zero() {
@@ -287,58 +273,62 @@ fn attach_artificials_and_run(
             let mut x = vec![Rational::zero(); n]; // alloc-ok: returned witness
             for i in 0..m {
                 if basis[i] < n {
-                    x[basis[i]] = rhs[i].clone();
+                    x[basis[i]] = Rational::new(rhs[i].clone(), dens[i].clone());
                 }
             }
             return Ok(SimplexOutcome::Feasible(x));
         };
 
-        // Ratio test (Bland tie-breaking by smallest basic variable index).
+        // Ratio test. Within a row the denominator cancels
+        // (`(rhs_i/d_i) / (coeff_i/d_i) = rhs_i/coeff_i`), so the cross-row
+        // comparison `rhs_i/coeff_i < rhs_l/coeff_l` is the integer
+        // comparison `rhs_i·coeff_l < rhs_l·coeff_i` (both coeffs positive).
+        // Bland tie-breaking by smallest basic variable index.
         let mut leaving: Option<usize> = None;
-        let mut best_ratio: Option<Rational> = None;
+        let mut best: Option<(Integer, Integer)> = None; // (rhs, coeff) of the leader
         for i in 0..m {
             let Some(coeff) = rows[i].get(enter) else { continue };
-            if coeff.is_positive() {
-                let ratio = &rhs[i] / coeff;
-                let better = match &best_ratio {
-                    None => true,
-                    Some(best) => {
-                        ratio < *best
-                            || (ratio == *best
-                                && basis[i] < basis[leaving.expect("leaving set with best_ratio")])
-                    }
-                };
-                if better {
-                    best_ratio = Some(ratio);
-                    leaving = Some(i);
+            if !coeff.is_positive() {
+                continue;
+            }
+            let better = match (&best, leaving) {
+                (None, _) => true,
+                (Some((best_rhs, best_coeff)), Some(leader)) => {
+                    let lhs = &rhs[i] * best_coeff;
+                    let rhs_side = best_rhs * coeff;
+                    lhs < rhs_side || (lhs == rhs_side && basis[i] < basis[leader])
                 }
+                _ => unreachable!("best and leaving are set together"),
+            };
+            if better {
+                best = Some((rhs[i].clone(), coeff.clone()));
+                leaving = Some(i);
             }
         }
 
         let Some(leave) = leaving else {
             // The phase-1 objective is bounded below by zero, so an unbounded
-            // direction cannot occur; defensively treat it as infeasibility.
+            // direction cannot occur.
             unreachable!("phase-1 simplex objective cannot be unbounded");
         };
 
-        // Pivot on (leave, enter) through the shared Row kernel: normalise
-        // the leave row (skipped entirely for a unit pivot), then eliminate
-        // the enter column from every other row. Zero-skipping comes from
-        // the row representation.
-        let pivot = rows[leave].get(enter).expect("ratio test picked a non-zero pivot").clone();
-        if !pivot.is_one() {
-            rows[leave].scale_div(&pivot);
-            if !rhs[leave].is_zero() {
-                rhs[leave] = &rhs[leave] / &pivot;
-            }
-        }
+        // Pivot. The stored pivot L is positive; the leave row itself stays
+        // untouched — its denominator simply becomes L (rational value
+        // r_l / L, i.e. the normalised pivot row with a 1 in the enter
+        // column). Every other row with a non-zero enter coefficient F takes
+        // the fraction-free cross-multiplication
+        //     r_i ← L·r_i − F·r_l ,   d_i ← d_i·L ,
+        // followed by one exact gcd reduction of the whole row. Rows with
+        // F = 0 are not touched at all — the zero-skipping a shared
+        // denominator would lose.
+        let pivot = rows[leave].get(enter).cloned().expect("ratio test picked a non-zero pivot");
         for i in 0..m {
             if i == leave {
                 continue;
             }
-            // After elimination the enter column of this row is exactly zero
-            // (the normalised leave row has a 1 there), so taking the factor
-            // out of the tableau writes the final value for free — no clone.
+            // After elimination the enter column of this row is exactly zero,
+            // so taking the factor out of the tableau writes the final value
+            // for free — no clone.
             let factor = rows[i].take(enter);
             if factor.is_zero() {
                 continue;
@@ -350,42 +340,152 @@ fn attach_artificials_and_run(
                 let (head, tail) = rows.split_at_mut(leave);
                 (&tail[0], &mut head[i])
             };
-            target_row.eliminate_with(&factor, leave_row, enter, merge_buf);
+            eliminate_fraction_free(target_row, &pivot, &factor, leave_row, enter, merge_buf);
+            rhs[i] = &(&pivot * &rhs[i]) - &(&factor * &rhs[leave]);
+            dens[i] = &dens[i] * &pivot.magnitude();
+            normalise_row(target_row, &mut rhs[i], &mut dens[i]);
             // Pivot boundary: elimination can cancel earlier fill-in, and a
             // densified row whose density receded must not stay dense (the
             // one-way ratchet made later passes scan dead zeros).
             target_row.resparsify();
-            if !rhs[leave].is_zero() {
-                let delta = &factor * &rhs[leave];
-                rhs[i] -= &delta;
-            }
         }
+        dens[leave] = pivot.magnitude();
+        normalise_row(&mut rows[leave], &mut rhs[leave], &mut dens[leave]);
         basis[leave] = enter;
     }
+}
+
+/// The fraction-free elimination step: `target ← pivot·target − factor·src`,
+/// skipping the column `skip` (whose coefficient the caller already removed
+/// with `take`). A sparse row that fills in past the density threshold is
+/// densified here. The sparse merge writes into `spare` (swapped with the
+/// row's storage afterwards), so the pivot loop recycles one buffer across
+/// every elimination.
+fn eliminate_fraction_free(
+    target: &mut IntRow,
+    pivot: &Integer,
+    factor: &Integer,
+    src: &IntRow,
+    skip: usize,
+    spare: &mut Vec<(usize, Integer)>,
+) {
+    match target {
+        GenRow::Dense(v) => {
+            // The cross-multiplication rescales every stored entry, so a
+            // dense target is two passes: scale, then subtract over the
+            // source's non-zeros.
+            for value in v.iter_mut() {
+                if !value.is_zero() {
+                    let taken = core::mem::take(value);
+                    *value = &taken * pivot;
+                }
+            }
+            for (col, coeff) in src.iter_nonzero() {
+                if col == skip {
+                    continue;
+                }
+                let delta = factor * coeff;
+                v[col] -= &delta;
+            }
+        }
+        GenRow::Sparse(s) => {
+            merge_sparse(
+                spare,
+                &s.entries,
+                src,
+                skip,
+                |vt| vt * pivot,
+                |vs| -(factor * vs),
+                |vt, vs| &(vt * pivot) - &(factor * vs),
+            );
+            core::mem::swap(&mut s.entries, spare);
+            if !sparse_is_worth_it(s.entries.len(), s.dim) {
+                *target = GenRow::Dense(s.to_dense());
+            }
+        }
+    }
+}
+
+/// Divides a row, its rhs and its denominator by their common gcd — the
+/// single exact division of the fraction-free step. The gcd always includes
+/// the (positive) denominator, so the reduced denominator stays positive and
+/// the row's rational value is untouched.
+fn normalise_row(row: &mut IntRow, rhs: &mut Integer, den: &mut Natural) {
+    let mut g: Natural = rhs.gcd(&Integer::from(den.clone()));
+    for (_, value) in row.iter_nonzero() {
+        if g.is_one() {
+            return;
+        }
+        g = value.gcd(&Integer::from(g));
+    }
+    if g.is_one() {
+        return;
+    }
+    debug_assert!(!g.is_zero(), "a positive denominator keeps the row gcd positive");
+    let divisor = Integer::from(g.clone());
+    match row {
+        GenRow::Dense(v) => {
+            for value in v.iter_mut() {
+                if !value.is_zero() {
+                    let taken = core::mem::take(value);
+                    *value = taken.exact_div(&divisor);
+                }
+            }
+        }
+        GenRow::Sparse(s) => {
+            for (_, value) in s.entries.iter_mut() {
+                let taken = core::mem::take(value);
+                *value = taken.exact_div(&divisor);
+            }
+        }
+    }
+    *rhs = rhs.exact_div(&divisor);
+    *den = &*den / &g;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn r(n: i64, d: i64) -> Rational {
-        Rational::from_i64s(n, d)
+    fn rows(rows: &[&[i64]]) -> Vec<IntRow> {
+        rows.iter()
+            .map(|row| {
+                IntRow::from_dense_auto(&row.iter().map(|&v| Integer::from(v)).collect::<Vec<_>>())
+            })
+            .collect()
     }
 
-    fn mat(rows: &[&[i64]]) -> Vec<Vec<Rational>> {
-        rows.iter().map(|row| row.iter().map(|&v| Rational::from(v)).collect()).collect()
+    fn ints(vals: &[i64]) -> Vec<Integer> {
+        vals.iter().map(|&v| Integer::from(v)).collect()
     }
 
-    fn vec_r(vals: &[i64]) -> Vec<Rational> {
+    fn rats(vals: &[i64]) -> Vec<Rational> {
         vals.iter().map(|&v| Rational::from(v)).collect()
     }
 
-    fn assert_feasible(a: &[Vec<Rational>], b: &[Rational]) -> Vec<Rational> {
-        match feasible_point(a, b).expect("within budget") {
+    /// `A·x` for an integer matrix and a rational point.
+    fn apply(a: &[&[i64]], x: &[Rational]) -> Vec<Rational> {
+        a.iter()
+            .map(|row| {
+                let mut acc = Rational::zero();
+                for (&c, v) in row.iter().zip(x) {
+                    acc += &(&Rational::from(c) * v);
+                }
+                acc
+            })
+            .collect()
+    }
+
+    fn solve(a: &[&[i64]], b: &[i64]) -> SimplexOutcome {
+        let n = a.first().map_or(0, |row| row.len());
+        feasible_point(n, &rows(a), &ints(b)).expect("within budget")
+    }
+
+    fn assert_feasible(a: &[&[i64]], b: &[i64]) -> Vec<Rational> {
+        match solve(a, b) {
             SimplexOutcome::Feasible(x) => {
-                for (row, bi) in a.iter().zip(b) {
-                    let lhs = crate::system::dot(row, &x);
-                    assert!(lhs >= *bi, "row violated: {lhs} < {bi}");
+                for (lhs, &bi) in apply(a, &x).iter().zip(b) {
+                    assert!(*lhs >= Rational::from(bi), "row violated: {lhs} < {bi}");
                 }
                 for v in &x {
                     assert!(!v.is_negative(), "negative component in witness");
@@ -399,43 +499,33 @@ mod tests {
     #[test]
     fn trivial_origin_is_feasible() {
         // A x >= b with b <= 0 is satisfied by x = 0.
-        let a = mat(&[&[1, 2], &[3, -1]]);
-        let b = vec_r(&[0, -5]);
-        let x = assert_feasible(&a, &b);
-        assert_eq!(x, vec_r(&[0, 0]));
+        let x = assert_feasible(&[&[1, 2], &[3, -1]], &[0, -5]);
+        assert_eq!(x, rats(&[0, 0]));
     }
 
     #[test]
     fn single_constraint_needs_positive_x() {
         // x0 + x1 >= 3
-        let a = mat(&[&[1, 1]]);
-        let b = vec_r(&[3]);
-        assert_feasible(&a, &b);
+        assert_feasible(&[&[1, 1]], &[3]);
     }
 
     #[test]
     fn infeasible_negative_coefficients() {
         // -x0 - x1 >= 1 with x >= 0 is impossible.
-        let a = mat(&[&[-1, -1]]);
-        let b = vec_r(&[1]);
-        assert_eq!(feasible_point(&a, &b).unwrap(), SimplexOutcome::Infeasible);
+        assert_eq!(solve(&[&[-1, -1]], &[1]), SimplexOutcome::Infeasible);
     }
 
     #[test]
     fn mixed_system() {
         //  x0 - x1 >= 2
         // -x0 + 3x1 >= 1
-        let a = mat(&[&[1, -1], &[-1, 3]]);
-        let b = vec_r(&[2, 1]);
-        assert_feasible(&a, &b);
+        assert_feasible(&[&[1, -1], &[-1, 3]], &[2, 1]);
     }
 
     #[test]
     fn infeasible_opposing_rows() {
         //  x0 >= 5  and  -x0 >= -2  (i.e. x0 <= 2)
-        let a = mat(&[&[1], &[-1]]);
-        let b = vec_r(&[5, -2]);
-        assert_eq!(feasible_point(&a, &b).unwrap(), SimplexOutcome::Infeasible);
+        assert_eq!(solve(&[&[1], &[-1]], &[5, -2]), SimplexOutcome::Infeasible);
     }
 
     #[test]
@@ -444,96 +534,241 @@ mod tests {
         //   -5e1 +  e2 + 3e3 >= 1
         //   -3e1 -  e2 + 3e3 >= 1
         //   - e1 +  e2 -  e3 >= 1
-        let a = mat(&[&[-5, 1, 3], &[-3, -1, 3], &[-1, 1, -1]]);
-        let b = vec_r(&[1, 1, 1]);
-        let x = assert_feasible(&a, &b);
-        // The paper's solution direction (0, 2, 1) also satisfies the scaled system.
-        assert!(crate::system::dot(&a[0], &vec_r(&[0, 2, 1])) >= r(1, 1));
-        assert!(!x.iter().all(dioph_arith::Rational::is_zero));
+        let a: [&[i64]; 3] = [&[-5, 1, 3], &[-3, -1, 3], &[-1, 1, -1]];
+        let x = assert_feasible(&a, &[1, 1, 1]);
+        // The paper's solution direction (0, 2, 1) also satisfies the scaled
+        // first row.
+        assert!(apply(&a, &rats(&[0, 2, 1]))[0] >= Rational::one());
+        assert!(!x.iter().all(Rational::is_zero));
     }
 
     #[test]
     fn infeasible_homogeneous_row_of_zeros() {
         // 0·x >= 1 is impossible.
-        let a = mat(&[&[0, 0, 0]]);
-        let b = vec_r(&[1]);
-        assert_eq!(feasible_point(&a, &b).unwrap(), SimplexOutcome::Infeasible);
+        assert_eq!(solve(&[&[0, 0, 0]], &[1]), SimplexOutcome::Infeasible);
     }
 
     #[test]
     fn zero_rhs_rows_are_fine() {
         // x0 - x1 >= 0, x1 >= 2.
-        let a = mat(&[&[1, -1], &[0, 1]]);
-        let b = vec_r(&[0, 2]);
-        assert_feasible(&a, &b);
+        assert_feasible(&[&[1, -1], &[0, 1]], &[0, 2]);
     }
 
     #[test]
-    fn empty_system() {
-        let x = feasible_point(&[], &[]).unwrap();
-        assert_eq!(x, SimplexOutcome::Feasible(vec![]));
+    fn empty_system_is_feasible() {
+        let outcome = feasible_point(3, &[], &[]).unwrap();
+        assert_eq!(outcome, SimplexOutcome::Feasible(vec![Rational::zero(); 3]));
     }
 
     #[test]
-    fn rational_coefficients() {
-        // (1/2)x0 >= 3/2  =>  x0 >= 3.
-        let a = vec![vec![r(1, 2)]];
-        let b = vec![r(3, 2)];
-        let x = assert_feasible(&a, &b);
-        assert!(x[0] >= r(3, 1));
+    fn witnesses_are_canonical_rationals() {
+        // 2x0 >= 3 pivots on a non-unit coefficient: the witness 3/2 must
+        // come back reduced, not as the stored 3 over denominator 2 scaled
+        // by any row gcd.
+        let x = assert_feasible(&[&[2]], &[3]);
+        assert_eq!(x[0], Rational::from_i64s(3, 2));
+        assert_eq!(x[0].denom(), &Natural::from(2u64));
     }
 
     #[test]
     fn larger_random_like_instance() {
         // A structured 5x4 instance with known solution (1, 2, 3, 4).
-        let a =
-            mat(&[&[1, 1, 1, 1], &[2, -1, 0, 1], &[-1, 2, -1, 1], &[0, 0, 3, -2], &[1, 0, 0, 0]]);
-        let sol = vec_r(&[1, 2, 3, 4]);
-        let b: Vec<Rational> = a.iter().map(|row| crate::system::dot(row, &sol)).collect();
+        let a: [&[i64]; 5] =
+            [&[1, 1, 1, 1], &[2, -1, 0, 1], &[-1, 2, -1, 1], &[0, 0, 3, -2], &[1, 0, 0, 0]];
+        let b: Vec<i64> = apply(&a, &rats(&[1, 2, 3, 4]))
+            .iter()
+            .map(|v| v.numer().to_i64().expect("small integer"))
+            .collect();
         assert_feasible(&a, &b);
     }
 
     #[test]
+    fn prunes_nonpositive_rows_without_pivoting() {
+        // All coefficients ≤ 0 against b > 0: rejected before any tableau
+        // exists, so even a zero iteration budget cannot be exhausted.
+        let one = ints(&[1]);
+        for a in [[-1i64, -2], [0, 0]] {
+            let outcome = feasible_point_with_budget(2, &rows(&[&a]), &one, 0).unwrap();
+            assert_eq!(outcome, SimplexOutcome::Infeasible);
+        }
+        // A mixed-sign row is not prunable and must actually pivot.
+        let err = feasible_point_with_budget(2, &rows(&[&[1, -1]]), &ints(&[3]), 0)
+            .expect_err("zero budget cannot run a real pivot");
+        assert_eq!(err, LinalgError::IterationBudget { iterations: 0 });
+    }
+
+    #[test]
     fn exhausted_iteration_budget_is_an_error_not_a_panic() {
-        // Regression: simplex.rs used to `assert!` on the budget, panicking
+        // Regression: the kernel used to `assert!` on the budget, panicking
         // the engine-pool worker that held the pair. A system that genuinely
-        // needs pivots must now surface a structured error under a budget
-        // too small to finish.
-        let a = mat(&[&[1, -1], &[-1, 3]]);
-        let b = vec_r(&[2, 1]);
-        let rows: Vec<Row> = a.iter().map(|row| Row::from_dense_auto(row)).collect();
-        let err = feasible_point_rows_with_budget(2, rows, b.clone(), 1)
+        // needs pivots must surface a structured error under a budget too
+        // small to finish.
+        let a = rows(&[&[1, -1], &[-1, 3]]);
+        let b = ints(&[2, 1]);
+        let err = feasible_point_with_budget(2, &a, &b, 1)
             .expect_err("one iteration cannot finish this system");
         assert_eq!(err, LinalgError::IterationBudget { iterations: 1 });
         assert!(err.to_string().contains("iteration budget of 1"), "{err}");
         // The same system solves fine under the default budget.
-        assert!(feasible_point(&a, &b).unwrap().is_feasible());
+        assert!(feasible_point(2, &a, &b).unwrap().is_feasible());
     }
 
     #[test]
     fn sparse_and_dense_rows_give_identical_outcomes() {
         // The same system fed as Dense and as Sparse rows must produce the
         // same witness (bit-identical pivoting order under Bland's rule).
-        let a = mat(&[&[1, 0, 0, -1, 0], &[0, 2, 0, 0, -1], &[-1, 0, 3, 0, 0]]);
-        let b = vec_r(&[1, 2, 3]);
-        let dense_rows: Vec<Row> = a.iter().map(|row| Row::dense(row.clone())).collect();
-        let sparse_rows: Vec<Row> = a
+        let a: [&[i64]; 3] = [&[1, 0, 0, -1, 0], &[0, 2, 0, 0, -1], &[-1, 0, 3, 0, 0]];
+        let b = ints(&[1, 2, 3]);
+        let dense_rows: Vec<IntRow> = a.iter().map(|row| IntRow::dense(ints(row))).collect();
+        let sparse_rows: Vec<IntRow> = a
             .iter()
             .map(|row| {
-                Row::sparse(
+                IntRow::sparse(
                     row.len(),
                     row.iter()
                         .enumerate()
-                        .filter(|(_, v)| !v.is_zero())
-                        .map(|(i, v)| (i, v.clone()))
+                        .filter(|(_, &v)| v != 0)
+                        .map(|(i, &v)| (i, Integer::from(v)))
                         .collect(),
                 )
             })
             .collect();
-        let from_dense = feasible_point_rows(5, dense_rows, b.clone()).unwrap();
-        let from_sparse = feasible_point_rows(5, sparse_rows, b.clone()).unwrap();
+        let from_dense = feasible_point(5, &dense_rows, &b).unwrap();
+        let from_sparse = feasible_point(5, &sparse_rows, &b).unwrap();
         assert_eq!(from_dense, from_sparse);
-        assert_eq!(from_dense, feasible_point(&a, &b).unwrap());
         assert!(from_dense.is_feasible());
+    }
+
+    #[test]
+    fn coefficients_past_the_machine_word_survive() {
+        // Entries around 2^40: a single cross-multiplication already
+        // overflows i64 (the inline Integer variant), so the kernel must
+        // promote — and the gcd normalisation must bring values back down
+        // so the witness still satisfies the system exactly.
+        let big = 1i64 << 40;
+        let a: [&[i64]; 3] = [&[big, -big + 1, 3], &[-big + 3, big, -2], &[1, -2, big]];
+        assert_feasible(&a, &[1, 1, 1]);
+    }
+
+    /// `pivot·target − factor·src` (skipping `skip`) on dense integer
+    /// vectors: the reference the elimination step must reproduce.
+    fn eliminate_reference(
+        target: &[i64],
+        pivot: i64,
+        factor: i64,
+        src: &[i64],
+        skip: usize,
+    ) -> Vec<Integer> {
+        target
+            .iter()
+            .zip(src)
+            .enumerate()
+            .map(|(col, (&t, &s))| {
+                let scaled = Integer::from(t) * Integer::from(pivot);
+                if col == skip {
+                    scaled
+                } else {
+                    scaled - Integer::from(factor) * Integer::from(s)
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn elimination_matches_dense_reference_in_every_representation() {
+        let target_vals = [3i64, 0, 5, -1, 0, 2, 0, 0];
+        let src_vals = [7i64, 1, 0, -1, 4, 2, 0, 0];
+        let expect = eliminate_reference(&target_vals, 3, 2, &src_vals, 0);
+        let sparse = |vals: &[i64]| {
+            IntRow::sparse(
+                vals.len(),
+                vals.iter()
+                    .enumerate()
+                    .filter(|(_, &v)| v != 0)
+                    .map(|(i, &v)| (i, Integer::from(v)))
+                    .collect(),
+            )
+        };
+        for target in [IntRow::dense(ints(&target_vals)), sparse(&target_vals)] {
+            for src in [IntRow::dense(ints(&src_vals)), sparse(&src_vals)] {
+                let mut t = target.clone();
+                let mut spare = Vec::new();
+                eliminate_fraction_free(
+                    &mut t,
+                    &Integer::from(3),
+                    &Integer::from(2),
+                    &src,
+                    0,
+                    &mut spare,
+                );
+                assert_eq!(t.to_dense_vec(), expect);
+            }
+        }
+    }
+
+    #[test]
+    fn elimination_densifies_on_fill_in() {
+        let mut target = IntRow::sparse(8, vec![(0, Integer::one())]);
+        let src = IntRow::dense(ints(&[0, 1, 1, 1, 1, 1, 1, 1]));
+        let mut spare = Vec::new();
+        eliminate_fraction_free(
+            &mut target,
+            &Integer::one(),
+            &Integer::one(),
+            &src,
+            usize::MAX,
+            &mut spare,
+        );
+        assert!(matches!(target, GenRow::Dense(_)), "fill-in past half must densify");
+        assert_eq!(target.to_dense_vec(), ints(&[1, -1, -1, -1, -1, -1, -1, -1]));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// The dense/sparse representation stays canonical through
+        /// elimination: the step densifies past the threshold, and
+        /// `resparsify` (the pivot boundary call) brings receded rows back —
+        /// the ratchet releases. Values match the dense reference throughout.
+        #[test]
+        fn row_representation_stays_canonical_under_elimination(
+            target in proptest::collection::vec(-3i64..=3, 4..12),
+            srcs in proptest::collection::vec(
+                (proptest::collection::vec(-3i64..=3, 4..12), 1i64..=3, -2i64..=2),
+                1..6,
+            ),
+        ) {
+            let dim = target.len();
+            let mut row = IntRow::from_dense_auto(&ints(&target));
+            let mut expect = target.clone();
+            let mut spare = Vec::new();
+            proptest::prop_assert!(row.representation_is_canonical());
+            for (src, pivot, factor) in srcs {
+                let mut padded = src;
+                padded.resize(dim, 0);
+                let src_row = IntRow::from_dense_auto(&ints(&padded));
+                eliminate_fraction_free(
+                    &mut row,
+                    &Integer::from(pivot),
+                    &Integer::from(factor),
+                    &src_row,
+                    usize::MAX,
+                    &mut spare,
+                );
+                row.resparsify();
+                expect = expect
+                    .iter()
+                    .zip(&padded)
+                    .map(|(&t, &s)| t * pivot - factor * s)
+                    .collect();
+                proptest::prop_assert!(
+                    row.representation_is_canonical(),
+                    "non-canonical representation: nnz={} dim={}",
+                    row.nnz(),
+                    row.dim()
+                );
+                proptest::prop_assert_eq!(row.to_dense_vec(), ints(&expect));
+            }
+        }
     }
 }

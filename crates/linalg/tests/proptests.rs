@@ -2,16 +2,18 @@
 //!
 //! The central invariants:
 //! * Fourier–Motzkin and the exact simplex agree on feasibility of strict
-//!   homogeneous systems (the shape produced by the paper's Theorem 4.1);
+//!   homogeneous systems (the shape produced by the paper's Theorem 4.1) and
+//!   of general `A·x ≥ b` systems, including past the machine word;
 //! * every witness returned actually satisfies the system it was asked about;
 //! * natural witnesses scale correctly from rational ones;
-//! * dense and sparse [`Row`] inputs drive the simplex to identical outcomes
-//!   (the pivot order under Bland's rule is representation-independent).
+//! * dense and sparse [`IntRow`] inputs drive the simplex to identical
+//!   outcomes (the pivot order under Bland's rule is
+//!   representation-independent).
 
 use dioph_arith::{Integer, Rational};
 use dioph_linalg::{
-    bareiss, simplex, Constraint, FeasibilityEngine, FmOutcome, IntRow, LinearSystem, Relation,
-    Row, StrictHomogeneousSystem,
+    simplex, Constraint, FeasibilityEngine, FmOutcome, IntRow, LinearSystem, Relation, Row,
+    SimplexOutcome, StrictHomogeneousSystem,
 };
 use proptest::prelude::*;
 
@@ -57,23 +59,24 @@ fn linear_system_strategy() -> impl Strategy<Value = LinearSystem> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The two engines must agree on every strict homogeneous system.
+    /// The two engines must agree on every strict homogeneous system, and
+    /// each rational witness must satisfy the system it answers (checked
+    /// before any scaling to naturals).
     #[test]
     fn engines_agree_on_strict_homogeneous_systems(sys in shs_strategy()) {
-        let simplex = sys.is_feasible(FeasibilityEngine::Simplex).unwrap();
-        let fm = sys.is_feasible(FeasibilityEngine::FourierMotzkin).unwrap();
-        prop_assert_eq!(simplex, fm, "engines disagree on {:?}", sys);
+        let simplex = sys.rational_solution(FeasibilityEngine::Simplex).unwrap();
+        let fm = sys.rational_solution(FeasibilityEngine::FourierMotzkin).unwrap();
+        prop_assert_eq!(simplex.is_some(), fm.is_some(), "engines disagree on {:?}", sys);
+        let strict = sys.to_linear_system();
+        for witness in simplex.iter().chain(&fm) {
+            prop_assert!(strict.is_satisfied_by(witness), "{:?} fails {:?}", witness, sys);
+        }
     }
 
     /// Natural witnesses must satisfy the system (both engines).
     #[test]
     fn natural_witnesses_are_valid(sys in shs_strategy()) {
-        for engine in [
-            FeasibilityEngine::Simplex,
-            FeasibilityEngine::Bareiss,
-            FeasibilityEngine::Auto,
-            FeasibilityEngine::FourierMotzkin,
-        ] {
+        for engine in [FeasibilityEngine::Simplex, FeasibilityEngine::FourierMotzkin] {
             if let Some(w) = sys.natural_solution(engine).unwrap() {
                 prop_assert_eq!(w.len(), sys.dimension());
                 prop_assert!(sys.is_satisfied_by_naturals(&w), "{:?} gave invalid witness {:?} for {:?}", engine, w, sys);
@@ -117,26 +120,21 @@ proptest! {
     #[test]
     fn simplex_outcome_is_representation_independent(sys in shs_strategy()) {
         let dim = sys.dimension();
-        let dense_rows: Vec<Row> = sys
+        let dense_rows: Vec<IntRow> =
+            sys.rows().iter().map(|row| IntRow::dense(row.to_dense_vec())).collect();
+        let sparse_rows: Vec<IntRow> = sys
             .rows()
             .iter()
-            .map(|row| Row::dense(row.to_dense_vec().iter().map(Rational::from).collect()))
+            .map(|row| IntRow::sparse(dim, row.iter_nonzero().map(|(c, v)| (c, v.clone())).collect()))
             .collect();
-        let b = vec![Rational::one(); sys.len()];
-        let from_dense = simplex::feasible_point_rows(dim, dense_rows, b.clone()).unwrap();
-        let from_sparse = simplex::feasible_point_rows(dim, sys.to_sparse_rows(), b).unwrap();
+        let b = vec![Integer::one(); sys.len()];
+        let from_dense = simplex::feasible_point(dim, &dense_rows, &b).unwrap();
+        let from_sparse = simplex::feasible_point(dim, &sparse_rows, &b).unwrap();
         prop_assert_eq!(&from_dense, &from_sparse, "representations diverged on {:?}", sys);
         // And both agree with the public front door.
         prop_assert_eq!(
-            &from_dense,
-            &simplex::feasible_point(
-                &sys.rows()
-                    .iter()
-                    .map(|row| row.to_dense_vec().iter().map(Rational::from).collect::<Vec<_>>())
-                    .collect::<Vec<_>>(),
-                &vec![Rational::one(); sys.len()],
-            )
-            .unwrap()
+            from_dense.witness().map(<[Rational]>::to_vec),
+            sys.rational_solution(FeasibilityEngine::Simplex).unwrap()
         );
     }
 
@@ -177,82 +175,36 @@ proptest! {
         }
     }
 
-    /// The fraction-free (Bareiss) route must reproduce the rational
-    /// simplex **exactly**: same verdict, same witness, on every system.
-    /// This is the invariant that keeps `--lp-route bareiss` certificates
-    /// byte-identical.
+    /// Past the machine word: coefficients near 2^40 force cross-multiplied
+    /// pivot values past 2^80, so the hybrid Integer must promote (and the
+    /// gcd normalisation must not lose exactness on the way back down). Run
+    /// on the raw kernel at non-homogeneous right-hand sides, with
+    /// Fourier–Motzkin on the same `A·x ≥ b, x ≥ 0` system as the reference
+    /// verdict, and every simplex witness checked against the system.
     #[test]
-    fn bareiss_route_is_bit_identical_to_rational_simplex(sys in shs_strategy()) {
-        let simplex_route = sys.rational_solution(FeasibilityEngine::Simplex).unwrap();
-        let bareiss_route = sys.rational_solution(FeasibilityEngine::Bareiss).unwrap();
-        prop_assert_eq!(&simplex_route, &bareiss_route, "routes diverged on {:?}", sys);
-        let auto_route = sys.rational_solution(FeasibilityEngine::Auto).unwrap();
-        prop_assert_eq!(&simplex_route, &auto_route, "auto diverged on {:?}", sys);
-    }
-
-    /// The identity holds where cross-multiplied pivot values no longer fit
-    /// the inline `i64` variant: coefficients near 2^40 force products past
-    /// 2^80, so the hybrid Integer must promote (and the gcd normalisation
-    /// must not lose exactness on the way back down). Run on the raw
-    /// kernels to also pin the witness at non-homogeneous right-hand sides.
-    #[test]
-    fn bareiss_exact_division_survives_the_word_boundary(
+    fn simplex_exact_division_survives_the_word_boundary(
         base in proptest::collection::vec(proptest::collection::vec(-5i64..=5, 3), 1..5),
         b in proptest::collection::vec(-3i64..=3, 1..5),
         shift in 30u32..45,
     ) {
         let rows = base.len().min(b.len());
-        let scale = 1i64 << shift;
-        let int_rows: Vec<IntRow> = base[..rows]
+        let scale = Integer::from(1i64 << shift);
+        let scaled: Vec<Vec<Integer>> = base[..rows]
             .iter()
-            .map(|row| {
-                IntRow::from_dense_auto(
-                    &row.iter().map(|&v| Integer::from(v) * Integer::from(scale)).collect::<Vec<_>>(),
-                )
-            })
+            .map(|row| row.iter().map(|&v| Integer::from(v) * scale.clone()).collect())
             .collect();
-        let rat_rows: Vec<Row> = base[..rows]
-            .iter()
-            .map(|row| {
-                Row::from_dense_auto(
-                    &row.iter().map(|&v| Rational::from(v as i128 * scale as i128)).collect::<Vec<_>>(),
-                )
-            })
-            .collect();
+        let int_rows: Vec<IntRow> = scaled.iter().map(|row| IntRow::from_dense_auto(row)).collect();
         let b_int: Vec<Integer> = b[..rows].iter().map(|&v| Integer::from(v)).collect();
-        let b_rat: Vec<Rational> = b[..rows].iter().map(|&v| Rational::from(v)).collect();
-        let fraction_free = bareiss::feasible_point_int(3, int_rows, b_int).unwrap();
-        let rational = simplex::feasible_point_rows(3, rat_rows, b_rat).unwrap();
-        prop_assert_eq!(fraction_free, rational);
-    }
-
-    /// The dense/sparse representation stays canonical through elimination:
-    /// `eliminate` densifies past the threshold, and `resparsify` (the pivot
-    /// boundary call) brings receded rows back — the ratchet releases.
-    #[test]
-    fn row_representation_stays_canonical_under_elimination(
-        target in proptest::collection::vec(-3i64..=3, 4..12),
-        srcs in proptest::collection::vec((proptest::collection::vec(-3i64..=3, 4..12), -2i64..=2), 1..6),
-    ) {
-        let dim = target.len();
-        let mut row = Row::from_dense_auto(
-            &target.iter().map(|&v| Rational::from(v)).collect::<Vec<_>>(),
-        );
-        prop_assert!(row.representation_is_canonical());
-        for (src, factor) in srcs {
-            let mut padded = src;
-            padded.resize(dim, 0);
-            let src_row = Row::from_dense_auto(
-                &padded.iter().map(|&v| Rational::from(v)).collect::<Vec<_>>(),
-            );
-            row.eliminate(&Rational::from(factor), &src_row, usize::MAX);
-            row.resparsify();
-            prop_assert!(
-                row.representation_is_canonical(),
-                "non-canonical representation: nnz={} dim={}",
-                row.nnz(),
-                row.dim()
-            );
+        let mut system = LinearSystem::new(3);
+        for (row, b_i) in scaled.iter().zip(&b_int) {
+            system.push(Constraint::from_integers(row, Relation::Ge, b_i.clone()));
+        }
+        system.push_nonnegativity();
+        let outcome = simplex::feasible_point(3, &int_rows, &b_int).unwrap();
+        let fm = dioph_linalg::fourier_motzkin::solve(&system);
+        prop_assert_eq!(outcome.is_feasible(), matches!(fm, FmOutcome::Feasible(_)));
+        if let SimplexOutcome::Feasible(x) = &outcome {
+            prop_assert!(system.is_satisfied_by(x), "{:?} fails {:?}", x, system);
         }
     }
 

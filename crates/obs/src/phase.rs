@@ -147,10 +147,15 @@ mod tests {
         assert_eq!(names, ["parse", "check", "compile", "probe", "lp", "merge"]);
     }
 
+    /// Held by every test that reads or flips the process-global timing
+    /// flag, so one test's enabled window cannot time another's span.
+    static TIMING_FLAG: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn disabled_spans_record_nothing() {
         // The suite shares process-global state: assert on deltas, and only
-        // while timing stays off (other tests may enable it briefly).
+        // while timing stays off.
+        let _flag = TIMING_FLAG.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let before = snapshot();
         if timing_enabled() {
             return;
@@ -162,6 +167,7 @@ mod tests {
 
     #[test]
     fn enabled_spans_aggregate_calls_and_wall_clock() {
+        let _flag = TIMING_FLAG.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let before = snapshot();
         set_timing(true);
         {

@@ -2,7 +2,7 @@
 //!
 //! Every instrumented event in the workspace increments one of the static
 //! [`Counter`]s defined here, under a stable dotted name (`arith.small_hits`,
-//! `lp.bareiss.pivots`, …). The registry is a **static table**: no runtime
+//! `lp.simplex.pivots`, …). The registry is a **static table**: no runtime
 //! registration, no locks on the hot path, one relaxed atomic add per event.
 //! [`snapshot`] reads every cell at once; [`MetricsSnapshot::since`] turns
 //! two snapshots into a delta, which is how the CLI reports per-command (and
@@ -10,11 +10,12 @@
 //!
 //! Counters carry a [`Stability`] class. `Deterministic` counters are a pure
 //! function of the input stream and the selected algorithm — invariant
-//! across `--jobs` and `--lp-route` — and may appear in byte-stable output.
-//! `Volatile` counters depend on the LP route (the arith fast-path tallies,
-//! the per-kernel pivot counts) or on thread scheduling (cache hit/miss
-//! splits under racing workers, probe claims) and must never be emitted into
-//! output that is pinned byte-identical across those knobs.
+//! across `--jobs` — and may appear in byte-stable output. `Volatile`
+//! counters depend on thread scheduling (cache hit/miss splits under racing
+//! workers, probe claims, and the per-probe work — arith tallies, pivots —
+//! that parallel workers do past an early non-containment cutoff) and must
+//! never be emitted into output that is pinned byte-identical across
+//! `--jobs`.
 
 use core::sync::atomic::{AtomicU64, Ordering};
 
@@ -22,11 +23,9 @@ use core::sync::atomic::{AtomicU64, Ordering};
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Stability {
     /// A pure function of (input, algorithm, semantics): byte-identical
-    /// across `--jobs` and `--lp-route`. Safe to embed in deterministic
-    /// output.
+    /// across `--jobs`. Safe to embed in deterministic output.
     Deterministic,
-    /// Depends on the LP route or on thread scheduling; compare only
-    /// statistically.
+    /// Depends on thread scheduling; compare only statistically.
     Volatile,
 }
 
@@ -273,13 +272,6 @@ pub static ENGINE_VERDICTS_NOT_CONTAINED: Counter = Counter::new(
     C,
     "decisions that ended in 'not contained'",
 );
-/// Bareiss kernel pivots.
-pub static LP_BAREISS_PIVOTS: Counter = Counter::new(
-    "lp.bareiss.pivots",
-    Vol,
-    C,
-    "pivot iterations of the fraction-free Bareiss phase-1 simplex",
-);
 /// LP feasibility decisions.
 pub static LP_FEASIBILITY_CALLS: Counter = Counter::new(
     "lp.feasibility.calls",
@@ -294,12 +286,12 @@ pub static LP_FM_ELIMINATIONS: Counter = Counter::new(
     C,
     "variables eliminated by the Fourier-Motzkin engine",
 );
-/// Rational simplex pivots.
+/// Simplex pivots.
 pub static LP_SIMPLEX_PIVOTS: Counter = Counter::new(
     "lp.simplex.pivots",
     Vol,
     C,
-    "pivot iterations of the exact rational phase-1 simplex",
+    "pivot iterations of the exact fraction-free phase-1 simplex",
 );
 /// Queries parsed.
 pub static PARSE_QUERIES: Counter =
@@ -308,7 +300,7 @@ pub static PARSE_QUERIES: Counter =
 /// Every registry cell, sorted by name (the sort is pinned by a test, so
 /// snapshot iteration — and therefore every rendered counter block — is in
 /// stable name order).
-static COUNTERS: [&Counter; 30] = [
+static COUNTERS: [&Counter; 29] = [
     &ALLOC_HEAP_ALLOCS,
     &ALLOC_MONOMIAL_INLINE,
     &ALLOC_MONOMIAL_SPILLS,
@@ -334,7 +326,6 @@ static COUNTERS: [&Counter; 30] = [
     &ENGINE_UNITS_CLAIMED,
     &ENGINE_VERDICTS_CONTAINED,
     &ENGINE_VERDICTS_NOT_CONTAINED,
-    &LP_BAREISS_PIVOTS,
     &LP_FEASIBILITY_CALLS,
     &LP_FM_ELIMINATIONS,
     &LP_SIMPLEX_PIVOTS,

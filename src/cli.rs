@@ -112,12 +112,6 @@ OPTIONS (decide, equiv, batch, bench):
     --algorithm <NAME>   most-general (default) | all-probes | guess-check
     --budget <N>         Enumeration budget for guess-check (default 1000000).
     --engine <NAME>      simplex (default) | fourier-motzkin
-    --lp-route <NAME>    Pivot arithmetic of the simplex engine:
-                         simplex (default, exact rationals) | bareiss
-                         (fraction-free integers — the route for systems
-                         whose pivot values outgrow machine words) | auto
-                         (picks per system). Verdicts, witnesses and JSON
-                         certificates are byte-identical for every route.
     --jobs <N>           Worker threads (default 1). Every mode schedules
                          (pair, probe-index) units from one shared queue;
                          batch lets the pool drain each pair's probe space
@@ -127,9 +121,9 @@ OPTIONS (decide, equiv, batch, bench):
                          output: a human table, or a \"metrics\" member on
                          --json envelopes (batch emits one trailing
                          {\"metrics\":...} line). Deterministic counters are
-                         identical for any --jobs and --lp-route choice;
-                         timings and per-worker figures are labelled
-                         volatile. `verify` acknowledges the block.
+                         identical for any --jobs choice; timings and
+                         per-worker figures are labelled volatile. `verify`
+                         acknowledges the block.
     --trace-out <FILE>   Write a Chrome trace-event JSON timeline of the
                          pipeline phases (parse, check, compile, probe, LP,
                          merge) with one track per worker thread; load it in
@@ -163,9 +157,9 @@ OPTIONS (fuzz):
                          name, consecutive pairs) instead of generating.
     --inject <BUG>       Self-test: corrupt the decider with flip-verdict or
                          tamper-certificate and prove the oracle catches it.
-    --lp-route <NAME>    As for decide; the report is byte-identical across
-                         routes and --jobs values by construction.
-    --jobs <N>           Worker threads for the probe pool (default 1).
+    --jobs <N>           Worker threads for the probe pool (default 1); the
+                         report is byte-identical across --jobs values by
+                         construction.
     --json               Machine-readable report; `diophantus verify`
                          re-checks its certificates and shrunk witnesses.
     --metrics            As for decide: counters on the report (a \"metrics\"
@@ -370,8 +364,6 @@ fn parse_decide_opts(args: &[String]) -> Result<DecideOpts, CliError> {
     let mut budget_set = false;
     let mut engine_name = "simplex".to_string();
     let mut engine_set = false;
-    let mut route_name = "simplex".to_string();
-    let mut route_set = false;
     let mut json = false;
     let mut repeat = DEFAULT_REPEAT;
     let mut repeat_set = false;
@@ -410,10 +402,6 @@ fn parse_decide_opts(args: &[String]) -> Result<DecideOpts, CliError> {
                 engine_name = next_value(&mut it, "--engine")?;
                 engine_set = true;
             }
-            "--lp-route" => {
-                route_name = next_value(&mut it, "--lp-route")?;
-                route_set = true;
-            }
             "--repeat" => {
                 repeat = parse_count(&next_value(&mut it, "--repeat")?, "--repeat")?;
                 repeat_set = true;
@@ -431,7 +419,6 @@ fn parse_decide_opts(args: &[String]) -> Result<DecideOpts, CliError> {
         for (set, flag) in [
             (algorithm_set, "--algorithm"),
             (engine_set, "--engine"),
-            (route_set, "--lp-route"),
             (budget_set, "--budget"),
             (jobs_set, "--jobs"),
             // The observability layer instruments the bag pipeline; the set
@@ -465,7 +452,7 @@ fn parse_decide_opts(args: &[String]) -> Result<DecideOpts, CliError> {
             )))
         }
     };
-    let (mut engine, engine_name) = match engine_name.as_str() {
+    let (engine, engine_name) = match engine_name.as_str() {
         "simplex" => (FeasibilityEngine::Simplex, "simplex"),
         "fourier-motzkin" | "fm" => (FeasibilityEngine::FourierMotzkin, "fourier-motzkin"),
         other => {
@@ -474,26 +461,6 @@ fn parse_decide_opts(args: &[String]) -> Result<DecideOpts, CliError> {
             )))
         }
     };
-    // The LP route refines the simplex engine (rational vs fraction-free
-    // pivoting); it has no meaning for Fourier–Motzkin. Verdicts and JSON
-    // output are byte-identical across routes, so the envelope keeps
-    // reporting the engine family ("simplex"), not the route.
-    if route_set && engine == FeasibilityEngine::FourierMotzkin {
-        return Err(CliError::Usage(
-            "--lp-route selects the simplex pivot arithmetic; drop --engine fourier-motzkin"
-                .to_string(),
-        ));
-    }
-    match route_name.as_str() {
-        "simplex" | "rational" => {}
-        "bareiss" | "fraction-free" => engine = FeasibilityEngine::Bareiss,
-        "auto" => engine = FeasibilityEngine::Auto,
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown LP route '{other}' (expected simplex, bareiss or auto)"
-            )))
-        }
-    }
     if repeat == 0 {
         return Err(CliError::Usage("--repeat must be at least 1".to_string()));
     }
@@ -550,8 +517,8 @@ fn start_observability(metrics: bool, trace_out: Option<&str>) -> MetricsBaselin
 /// Renders the `"metrics"` envelope member. The `"counters"` block holds
 /// exactly the [`Deterministic`](dioph_obs::Stability::Deterministic)
 /// registry cells — a pure function of the input and the algorithm,
-/// byte-identical across `--jobs` and `--lp-route` (pinned by tests).
-/// Everything route- or scheduling-dependent lands in `"volatile"`,
+/// byte-identical across `--jobs` (pinned by tests). Everything
+/// scheduling-dependent lands in `"volatile"`,
 /// `"phases"` and `"workers"`, which `verify` checks structurally only.
 fn metrics_json(baseline: &MetricsBaseline) -> String {
     let registry = dioph_obs::snapshot().since(&baseline.registry);
@@ -1778,19 +1745,6 @@ fn parse_fuzz_opts(args: &[String]) -> Result<FuzzOpts, CliError> {
                 config.samples = parse_count(&next_value(&mut it, "--samples")?, "--samples")?;
             }
             "--jobs" => config.jobs = parse_count(&next_value(&mut it, "--jobs")?, "--jobs")?,
-            "--lp-route" => {
-                let route = next_value(&mut it, "--lp-route")?;
-                config.engine = match route.as_str() {
-                    "simplex" | "rational" => FeasibilityEngine::Simplex,
-                    "bareiss" | "fraction-free" => FeasibilityEngine::Bareiss,
-                    "auto" => FeasibilityEngine::Auto,
-                    other => {
-                        return Err(CliError::Usage(format!(
-                            "unknown LP route '{other}' (expected simplex, bareiss or auto)"
-                        )))
-                    }
-                };
-            }
             "--replay" => replay = Some(next_value(&mut it, "--replay")?),
             "--metrics" => metrics = true,
             "--trace-out" => trace_out = Some(next_value(&mut it, "--trace-out")?),
@@ -2454,15 +2408,17 @@ mod tests {
 
     #[test]
     fn bench_json_reports_small_path_hit_rates() {
-        // A pair whose MPI route genuinely reaches the LP (the ACCEPTANCE
-        // pair short-circuits on a zero row before any rational arithmetic).
-        let input = "q(x) <- R^2(x, x). p(x) <- R^3(x, x).";
+        // A pair whose MPI system genuinely pivots (the ACCEPTANCE pair
+        // short-circuits on a zero row, and R^2 ⊑ R^3 is rejected by the
+        // simplex's non-positive-row prune, both before any rational
+        // arithmetic): u^3 > u^2 has a Diophantine solution.
+        let input = "q(x) <- R^3(x, x). p(x) <- R^2(x, x).";
         let out = run_ok(&["bench", "--json", "--repeat", "2"], input);
         assert!(out.contains("\"arith_small_path\":{\"small_hits\":"), "{out}");
         assert!(out.contains("\"big_fallbacks\":"), "{out}");
         assert!(out.contains("\"hit_rate\":"), "{out}");
-        // The acceptance pair routes through the simplex, whose pivots live
-        // on the machine-word path at this size: some hits must be recorded.
+        // The simplex's reduced costs live on the machine-word path at this
+        // size: some hits must be recorded.
         let hits: u64 = out
             .split("\"small_hits\":")
             .nth(1)
@@ -2515,50 +2471,6 @@ mod tests {
             other => panic!("alloc.scratch_reuses must be a number, got {other:?}"),
         };
         assert!(reuses > 0.0, "{out}");
-    }
-
-    #[test]
-    fn lp_route_is_output_invariant() {
-        // The fraction-free route must not change a byte of any output mode
-        // (the envelope keeps naming the engine family, not the route).
-        let input = "q(x) <- R^2(x, x). p(x) <- R^3(x, x).\n\
-                     q2(x) <- R(x, x), S(x). p2(x) <- R(x, x).";
-        for command in ["decide", "equiv", "batch"] {
-            let workload =
-                if command == "equiv" { "q(x) <- R^2(x, x). p(x) <- R^3(x, x)." } else { input };
-            for extra in [&[][..], &["--json"][..]] {
-                let mut base = vec![command];
-                base.extend_from_slice(extra);
-                let reference = run_ok(&base, workload);
-                for route in ["simplex", "bareiss", "auto", "fraction-free", "rational"] {
-                    let mut routed = base.clone();
-                    routed.extend_from_slice(&["--lp-route", route]);
-                    assert_eq!(
-                        run_ok(&routed, workload),
-                        reference,
-                        "{command} {extra:?} diverged under --lp-route {route}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn lp_route_usage_errors() {
-        assert!(run_err(&["decide", "--lp-route", "abacus"], "").0);
-        assert!(run_err(&["decide", "--lp-route"], "").0, "--lp-route needs a value");
-        assert!(
-            run_err(&["decide", "--engine", "fourier-motzkin", "--lp-route", "bareiss"], "").0,
-            "the route refines the simplex engine only"
-        );
-        assert!(run_err(&["decide", "--set", "--lp-route", "bareiss"], "").0);
-        assert!(run_err(&["gen", "--lp-route", "bareiss"], "").0, "gen has no LP");
-        // Explicitly restating the default simplex engine is fine.
-        let out = run_ok(
-            &["decide", "--engine", "simplex", "--lp-route", "bareiss"],
-            "q(x) <- R(x, x). p(x) <- R(x, x).",
-        );
-        assert!(out.contains("contained"), "{out}");
     }
 
     #[test]
@@ -3061,6 +2973,7 @@ mod tests {
         reject(&synthetic_metrics(5, 1, ""), "verdict invariant");
         // A volatile counter the registry does not define.
         reject(&synthetic_metrics(1, 1, "\"lp.warp.calls\":1"), "unknown volatile counter");
+        reject(&synthetic_metrics(1, 1, "\"lp.bareiss.pivots\":1"), "no second pivot counter");
         // A deterministic block missing registry cells.
         reject(
             "{\"counters\":{\"engine.pairs_decided\":1},\"volatile\":{},\"phases\":[],\
@@ -3121,7 +3034,6 @@ mod tests {
         assert!(out.contains("⊑s"), "{out}");
         // Bag-only engine flags stay rejected under --bag-set.
         assert!(run_err(&["decide", "--bag-set", "--jobs", "2"], "").0);
-        assert!(run_err(&["decide", "--bag-set", "--lp-route", "bareiss"], "").0);
         assert!(run_err(&["decide", "--bag-set", "--algorithm", "all-probes"], "").0);
         assert!(run_err(&["batch", "--bag-set"], "").0, "batch is bag-only");
         assert!(run_err(&["bench", "--bag-set"], "").0, "bench is bag-only");
@@ -3137,21 +3049,17 @@ mod tests {
     }
 
     #[test]
-    fn fuzz_json_is_byte_identical_across_jobs_and_routes() {
+    fn fuzz_json_is_byte_identical_across_jobs() {
         let base = &["fuzz", "--cases", "6", "--seed", "3", "--samples", "8", "--json"];
         let reference = run_ok(base, "");
         assert!(
             reference.starts_with("{\"command\":\"fuzz\",\"seed\":3,\"cases\":6,"),
             "{reference}"
         );
-        for extra in [
-            &["--jobs", "4"][..],
-            &["--lp-route", "bareiss"][..],
-            &["--lp-route", "auto", "--jobs", "2"][..],
-        ] {
+        for jobs in ["2", "4"] {
             let mut args = base.to_vec();
-            args.extend_from_slice(extra);
-            assert_eq!(run_ok(&args, ""), reference, "fuzz --json diverged under {extra:?}");
+            args.extend_from_slice(&["--jobs", jobs]);
+            assert_eq!(run_ok(&args, ""), reference, "fuzz --json diverged under --jobs {jobs}");
         }
     }
 
@@ -3175,7 +3083,6 @@ mod tests {
     fn fuzz_usage_errors() {
         assert!(run_err(&["fuzz", "--cases", "3", "--replay", "dir"], "").0);
         assert!(run_err(&["fuzz", "--inject", "nonsense"], "").0);
-        assert!(run_err(&["fuzz", "--lp-route", "abacus"], "").0);
         assert!(run_err(&["fuzz", "--jobs", "0"], "").0);
         assert!(run_err(&["fuzz", "--max-adom", "0"], "").0);
         assert!(run_err(&["fuzz", "--max-mult", "0"], "").0);

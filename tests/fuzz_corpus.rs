@@ -38,7 +38,7 @@ fn corpus_replay_is_clean() {
 }
 
 #[test]
-fn corpus_replay_report_is_stable_across_routes_and_jobs() {
+fn corpus_replay_report_is_stable_across_jobs() {
     let dir = corpus_dir();
     let (code, reference, _) = run(&["fuzz", "--replay", &dir, "--json"]);
     assert_eq!(code, 0);
@@ -56,14 +56,9 @@ fn corpus_replay_report_is_stable_across_routes_and_jobs() {
     let conjuncts = reference.find("near_miss_conjuncts.dl:pair1").unwrap();
     let paper = reference.find("paper_pairs.dl:pair1").unwrap();
     assert!(conjuncts < paper, "corpus files must replay in sorted name order");
-    for extra in [&["--jobs", "4"][..], &["--lp-route", "bareiss"][..], &["--lp-route", "auto"][..]]
-    {
-        let mut args = vec!["fuzz", "--replay", dir.as_str(), "--json"];
-        args.extend_from_slice(extra);
-        let (code, out, _) = run(&args);
-        assert_eq!(code, 0, "{extra:?}");
-        assert_eq!(out, reference, "replay report diverged under {extra:?}");
-    }
+    let (code, out, _) = run(&["fuzz", "--replay", dir.as_str(), "--json", "--jobs", "4"]);
+    assert_eq!(code, 0);
+    assert_eq!(out, reference, "replay report diverged under --jobs 4");
 }
 
 #[test]

@@ -83,43 +83,6 @@ fn batch_certificates_match_the_pre_refactor_tree_for_all_job_counts() {
 }
 
 #[test]
-fn bareiss_route_reproduces_every_golden_certificate() {
-    // The fraction-free LP route (and the auto route that may pick either
-    // kernel per system) must be byte-identical to the rational simplex on
-    // every fixture: same verdicts, same witnesses, same JSON — across
-    // decide, equiv and batch at jobs 1/2/4. This is the differential
-    // gate for `--lp-route`.
-    for route in ["bareiss", "auto"] {
-        for kind in KINDS {
-            let out = stdout_of(&["decide", "--json", "--lp-route", route], &workload(kind));
-            assert_eq!(
-                out,
-                golden(&format!("{kind}.decide.json")),
-                "{kind}: decide --lp-route {route} diverged from the golden output"
-            );
-            let expected = golden(&format!("{kind}.batch.jsonl"));
-            for jobs in ["1", "2", "4"] {
-                let out = stdout_of(
-                    &["batch", "--jobs", jobs, "--json", "--lp-route", route],
-                    &workload(kind),
-                );
-                assert_eq!(
-                    out, expected,
-                    "{kind}: batch --jobs {jobs} --lp-route {route} diverged from the golden \
-                     output"
-                );
-            }
-        }
-        let out = stdout_of(&["equiv", "--json", "--lp-route", route], &workload("path"));
-        assert_eq!(
-            out,
-            golden("path.equiv.json"),
-            "path: equiv --lp-route {route} diverged from the golden output"
-        );
-    }
-}
-
-#[test]
 fn equiv_certificates_match_the_pre_refactor_tree() {
     // Only the path family has projection-free queries on both sides, so
     // only it can be decided in both directions.

@@ -4,7 +4,7 @@
 //! The in-process CLI tests in `src/cli.rs` share one metrics registry
 //! across the whole parallel test binary, so they can only check output
 //! *structure*. The contract itself — deterministic counters byte-identical
-//! across `--jobs` and `--lp-route`, output byte-identical with metrics off,
+//! across `--jobs`, output byte-identical with metrics off,
 //! trace files loadable as Chrome trace-event JSON — is about one command in
 //! one process, so every test here spawns the real binary per command line.
 
@@ -54,20 +54,13 @@ fn workload(kind: &str, count: &str, seed: &str) -> String {
 }
 
 #[test]
-fn deterministic_counters_are_jobs_and_route_invariant() {
+fn deterministic_counters_are_jobs_invariant() {
     let input = workload("inflated", "4", "2019");
     for command in ["decide", "batch"] {
         let mut blocks: Vec<(String, String)> = Vec::new();
         for jobs in ["1", "2", "4"] {
-            for route in ["simplex", "bareiss"] {
-                let out = stdout_of(
-                    &[command, "--json", "--metrics", "--jobs", jobs, "--lp-route", route],
-                    &input,
-                );
-                blocks.push((format!("--jobs {jobs} --lp-route {route}"), {
-                    counters_block(&out).to_string()
-                }));
-            }
+            let out = stdout_of(&[command, "--json", "--metrics", "--jobs", jobs], &input);
+            blocks.push((format!("--jobs {jobs}"), counters_block(&out).to_string()));
         }
         let (ref base_config, ref base) = blocks[0];
         for (config, block) in &blocks {
@@ -80,38 +73,26 @@ fn deterministic_counters_are_jobs_and_route_invariant() {
 }
 
 #[test]
-fn skewed_batch_streams_are_jobs_and_route_invariant() {
+fn skewed_batch_streams_are_jobs_invariant() {
     // One giant all-probes pair (a 256-probe path self-containment) buried
     // amid small pairs: the workload where the unified scheduler's unit
     // claiming matters most. Both the per-job verdict lines and the
     // deterministic counters block must be byte-identical for every worker
-    // count and LP route, no matter how the giant's probe chunks interleave
+    // count, no matter how the giant's probe chunks interleave
     // with the small pairs.
     let giant = stdout_of(&["gen", "path", "--count", "1", "--size", "3", "--seed", "7"], "");
     let small = stdout_of(&["gen", "expmap", "--count", "6", "--size", "4", "--seed", "7"], "");
     let input = format!("{giant}{small}");
     let mut outputs: Vec<(String, String, String)> = Vec::new();
     for jobs in ["1", "2", "4"] {
-        for route in ["simplex", "bareiss"] {
-            let args = [
-                "batch",
-                "--algorithm",
-                "all-probes",
-                "--json",
-                "--metrics",
-                "--jobs",
-                jobs,
-                "--lp-route",
-                route,
-            ];
-            let out = stdout_of(&args, &input);
-            let trailer = out.rfind("{\"metrics\":").expect("batch emits a metrics trailer");
-            outputs.push((
-                format!("--jobs {jobs} --lp-route {route}"),
-                out[..trailer].to_string(),
-                counters_block(&out[trailer..]).to_string(),
-            ));
-        }
+        let args = ["batch", "--algorithm", "all-probes", "--json", "--metrics", "--jobs", jobs];
+        let out = stdout_of(&args, &input);
+        let trailer = out.rfind("{\"metrics\":").expect("batch emits a metrics trailer");
+        outputs.push((
+            format!("--jobs {jobs}"),
+            out[..trailer].to_string(),
+            counters_block(&out[trailer..]).to_string(),
+        ));
     }
     let (ref base_config, ref base_verdicts, ref base_counters) = outputs[0];
     for (config, verdicts, counters) in &outputs {
@@ -232,11 +213,8 @@ proptest! {
         let kind = ["spec", "inflated", "contained", "path"][kind_index];
         let input = workload(kind, "2", &seed.to_string());
         let mut blocks = Vec::new();
-        for (jobs, route) in [("1", "simplex"), ("4", "bareiss")] {
-            let out = stdout_of(
-                &["decide", "--json", "--metrics", "--jobs", jobs, "--lp-route", route],
-                &input,
-            );
+        for jobs in ["1", "4"] {
+            let out = stdout_of(&["decide", "--json", "--metrics", "--jobs", jobs], &input);
             blocks.push(counters_block(&out).to_string());
         }
         prop_assert_eq!(&blocks[0], &blocks[1], "kind {} seed {}", kind, seed);

@@ -13,7 +13,7 @@
 //! * a verdict of containment is never refuted by random-bag sampling;
 //! * the 3-colorability reduction agrees with a direct graph search;
 //! * the differential fuzzing oracle finds no disagreement on generated
-//!   pairs, with identical outcomes across LP routes and thread counts.
+//!   pairs, with identical outcomes across thread counts.
 
 use diophantus::fuzz::{check_pair, generate_case, FuzzConfig};
 use diophantus::workloads::random::{
@@ -143,33 +143,29 @@ proptest! {
     /// between the MPI decider, the brute-force bag sweep, certificate
     /// replay and the set-containment necessary condition — and the whole
     /// outcome (verdict, certificate, database counts) is identical under
-    /// `--lp-route simplex`/`bareiss` and jobs 1/2/4.
+    /// jobs 1/2/4.
     #[test]
-    fn fuzz_oracle_agrees_across_routes_and_jobs(seed in 0u64..10_000) {
+    fn fuzz_oracle_agrees_across_jobs(seed in 0u64..10_000) {
         let case = generate_case(seed, 0);
         let db_seed = diophantus::fuzz::derive_seed(seed, u64::MAX);
         let mut reference = None;
         for jobs in [1usize, 2, 4] {
-            for engine in [FeasibilityEngine::Simplex, FeasibilityEngine::Bareiss] {
-                let config = FuzzConfig { jobs, engine, samples: 8, ..FuzzConfig::default() };
-                let outcome = check_pair(&case.containee, &case.containing, &config, db_seed);
-                prop_assert!(
-                    outcome.disagreement.is_none(),
-                    "jobs={} engine={:?}: {:?}",
-                    jobs,
-                    engine,
-                    outcome.disagreement
-                );
-                match &reference {
-                    None => reference = Some(outcome),
-                    Some(expected) => prop_assert_eq!(
-                        expected,
-                        &outcome,
-                        "outcome diverged under jobs={} engine={:?}",
-                        jobs,
-                        engine
-                    ),
-                }
+            let config = FuzzConfig { jobs, samples: 8, ..FuzzConfig::default() };
+            let outcome = check_pair(&case.containee, &case.containing, &config, db_seed);
+            prop_assert!(
+                outcome.disagreement.is_none(),
+                "jobs={}: {:?}",
+                jobs,
+                outcome.disagreement
+            );
+            match &reference {
+                None => reference = Some(outcome),
+                Some(expected) => prop_assert_eq!(
+                    expected,
+                    &outcome,
+                    "outcome diverged under jobs={}",
+                    jobs
+                ),
             }
         }
     }

@@ -6,13 +6,11 @@
 //! bit-identical outcome — verdict, witness assignment, even the error — as
 //! the same probe decided through fresh allocations. These tests pin that
 //! equivalence over every workload family `diophantus gen` can emit and
-//! every (algorithm, LP engine) combination, with the scratch deliberately
+//! every algorithm, with the scratch deliberately
 //! carried across probes, deciders and pairs so it is maximally "dirty"
 //! when each comparison runs.
 
-use diophantus::containment::{
-    Algorithm, BagContainmentDecider, CompiledPair, FeasibilityEngine, ProbeScratch,
-};
+use diophantus::containment::{Algorithm, BagContainmentDecider, CompiledPair, ProbeScratch};
 use diophantus::workloads::{generate_pairs, WorkloadKind};
 use proptest::prelude::*;
 
@@ -30,17 +28,14 @@ const ALL_KINDS: [WorkloadKind; 9] = [
     WorkloadKind::Clique { vertices: 3 },
 ];
 
-/// Every algorithm × engine combination with a scratch-threaded hot path.
+/// Every algorithm with a scratch-threaded hot path, on the simplex engine.
 /// (Fourier–Motzkin ignores the scratch by design, so it adds nothing here.)
 fn deciders() -> Vec<BagContainmentDecider> {
-    let mut out = Vec::new();
-    for engine in [FeasibilityEngine::Simplex, FeasibilityEngine::Bareiss, FeasibilityEngine::Auto]
-    {
-        out.push(BagContainmentDecider::new(Algorithm::MostGeneralProbe).with_engine(engine));
-        out.push(BagContainmentDecider::new(Algorithm::AllProbes).with_engine(engine));
-    }
-    out.push(BagContainmentDecider::new(Algorithm::GuessCheck { budget: 2_000 }));
-    out
+    vec![
+        BagContainmentDecider::new(Algorithm::MostGeneralProbe),
+        BagContainmentDecider::new(Algorithm::AllProbes),
+        BagContainmentDecider::new(Algorithm::GuessCheck { budget: 2_000 }),
+    ]
 }
 
 /// Compares the fresh-scratch route against the shared warmed scratch on
@@ -92,26 +87,24 @@ fn decide_pair_matches_fresh_probe_decisions() {
         for pair in generate_pairs(kind, 1, 7) {
             let compiled = CompiledPair::new(pair.containee.clone(), pair.containing.clone())
                 .expect("generated workloads are decidable");
-            for engine in [FeasibilityEngine::Simplex, FeasibilityEngine::Bareiss] {
-                let decider = BagContainmentDecider::new(Algorithm::AllProbes).with_engine(engine);
-                let verdict = decider.decide_pair(&compiled).expect("decidable");
-                // Re-derive the verdict with per-probe fresh scratches: the
-                // first probe with a witness decides the pair.
-                let mut witnessed = None;
-                for index in 0..compiled.probe_space().raw_len() {
-                    let Some(probe) = compiled.probe(index) else { continue };
-                    if let Some(assignment) = decider.decide_probe(probe).expect("decidable") {
-                        witnessed = Some(assignment);
-                        break;
-                    }
+            let decider = BagContainmentDecider::new(Algorithm::AllProbes);
+            let verdict = decider.decide_pair(&compiled).expect("decidable");
+            // Re-derive the verdict with per-probe fresh scratches: the
+            // first probe with a witness decides the pair.
+            let mut witnessed = None;
+            for index in 0..compiled.probe_space().raw_len() {
+                let Some(probe) = compiled.probe(index) else { continue };
+                if let Some(assignment) = decider.decide_probe(probe).expect("decidable") {
+                    witnessed = Some(assignment);
+                    break;
                 }
-                assert_eq!(
-                    verdict.holds(),
-                    witnessed.is_none(),
-                    "{} under {engine:?}: pair verdict diverges from fresh probe sweep",
-                    pair.label
-                );
             }
+            assert_eq!(
+                verdict.holds(),
+                witnessed.is_none(),
+                "{}: pair verdict diverges from fresh probe sweep",
+                pair.label
+            );
         }
     }
 }

@@ -106,7 +106,6 @@ fi
 hot_loop_files="
 crates/linalg/src/row.rs
 crates/linalg/src/simplex.rs
-crates/linalg/src/bareiss.rs
 crates/linalg/src/feasibility.rs
 crates/poly/src/mpi.rs
 crates/containment/src/decider.rs
