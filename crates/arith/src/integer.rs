@@ -316,7 +316,7 @@ impl Integer {
     ///
     /// Two inline values take a binary GCD on machine words (no allocation);
     /// the limb path is only entered when an operand is genuinely big. The
-    /// split is observable through [`crate::stats`].
+    /// split is counted by the `arith.int_*` registry counters.
     pub fn gcd(&self, other: &Integer) -> Natural {
         if let (Some(a), Some(b)) = (self.small(), other.small()) {
             crate::stats::record_int_small_hit();
@@ -335,7 +335,7 @@ impl Integer {
     /// elimination kernel: the kernel's algebra guarantees divisibility, and
     /// the checked form turns a violated guarantee into a recoverable `None`
     /// instead of silent corruption. Two inline values divide as `i128`
-    /// machine arithmetic; the split is observable through [`crate::stats`].
+    /// machine arithmetic; the split is counted by the `arith.int_*` registry counters.
     pub fn checked_exact_div(&self, divisor: &Integer) -> Option<Integer> {
         if divisor.is_zero() {
             return None;

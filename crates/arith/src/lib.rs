@@ -29,8 +29,8 @@
 //! that fits), so equality, ordering and hashing never observe the split.
 //! [`Rational`] adds a machine-word fast path on top: cross-multiplications
 //! run in checked `i128`/`u128` arithmetic with a binary-GCD reduction, and
-//! fall back to the exact big path only on overflow. The [`stats`] module
-//! counts how often each route is taken.
+//! fall back to the exact big path only on overflow. The `arith.*` counters
+//! of the `dioph-obs` registry count how often each route is taken.
 //!
 //! ```
 //! use dioph_arith::{Natural, Integer, Rational};
@@ -53,7 +53,7 @@
 mod integer;
 mod natural;
 mod rational;
-pub mod stats;
+mod stats;
 
 pub use integer::{Integer, ParseIntegerError, Sign};
 pub use natural::{Natural, ParseNaturalError};

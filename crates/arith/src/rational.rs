@@ -7,8 +7,8 @@
 //! checked `i128`/`u128` arithmetic and the result reduced with a binary GCD
 //! on machine words — no heap allocation anywhere. Only when an intermediate
 //! product or sum cannot be represented does the operation fall back to the
-//! exact big path. The fallback frequency is observable through
-//! [`crate::stats`].
+//! exact big path. The fallback frequency is counted by the
+//! `arith.small_hits` / `arith.big_fallbacks` registry counters.
 
 use core::cmp::Ordering;
 use core::fmt;

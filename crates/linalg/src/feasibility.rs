@@ -15,18 +15,16 @@
 //! [`StrictHomogeneousSystem`] captures exactly that shape and offers the
 //! engines of [`FeasibilityEngine`] for deciding it and extracting natural
 //! witnesses. The rows are stored as sparse **integer** [`IntRow`]s built
-//! straight from the non-zero exponent differences — the fraction-free
-//! simplex consumes them as-is, and Fourier–Motzkin receives them converted
-//! once, up front.
+//! straight from the non-zero exponent differences — both engines consume
+//! them as-is.
 
 use dioph_arith::{Integer, Natural, Rational};
 
 use crate::error::LinalgError;
-use crate::fourier_motzkin::{self, FmOutcome, UpperForm};
-use crate::row::{IntRow, Row};
+use crate::fourier_motzkin::{self, FmOutcome};
+use crate::row::IntRow;
 use crate::scratch::{LpScratch, RowPool};
 use crate::simplex::{self, SimplexOutcome};
-use crate::system::{Constraint, LinearSystem, Relation};
 
 /// Which engine to use when deciding feasibility.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -92,7 +90,7 @@ impl StrictHomogeneousSystem {
     ///
     /// # Panics
     /// Panics if the entries violate the sparse-row invariants (see
-    /// [`crate::GenSparseRow::new`]) or mention a column `>= dimension`.
+    /// [`crate::SparseIntRow::new`]) or mention a column `>= dimension`.
     pub fn push_sparse_row(&mut self, entries: Vec<(usize, Integer)>) {
         self.rows.push(IntRow::auto(self.dimension, entries));
     }
@@ -108,7 +106,7 @@ impl StrictHomogeneousSystem {
     /// pool rebuilds MPI-derived systems with no fresh row allocations in
     /// the steady state (pair with [`Self::push_sparse_row`] on entries
     /// obtained from [`RowPool::take`]).
-    pub fn reset_with_pool(&mut self, dimension: usize, pool: &mut RowPool<Integer>) {
+    pub fn reset_with_pool(&mut self, dimension: usize, pool: &mut RowPool) {
         self.dimension = dimension;
         for row in self.rows.drain(..) {
             pool.reclaim(row);
@@ -130,29 +128,13 @@ impl StrictHomogeneousSystem {
         })
     }
 
-    /// One sparse rational [`Row`] per strict inequality: exactly the
-    /// non-zero integer coefficients, as rationals.
-    pub fn to_sparse_rows(&self) -> Vec<Row> {
-        self.rows
-            .iter()
-            .map(|row| {
-                let entries: Vec<(usize, Rational)> =
-                    row.iter_nonzero().map(|(i, c)| (i, Rational::from(c))).collect();
-                Row::sparse(self.dimension, entries)
-            })
-            .collect()
-    }
-
-    /// Renders the system as a [`LinearSystem`] with strict rows and explicit
-    /// non-negativity constraints (used by tests and displays; the engines
-    /// themselves run on the stored rows).
-    pub fn to_linear_system(&self) -> LinearSystem {
-        let mut sys = LinearSystem::new(self.dimension);
-        for row in &self.rows {
-            sys.push(Constraint::from_integers(&row.to_dense_vec(), Relation::Gt, Integer::zero()));
-        }
-        sys.push_nonnegativity();
-        sys
+    /// Checks whether a rational point is a solution: non-negative, with
+    /// every row strictly positive (the check for the engines' rational
+    /// witnesses, before they are scaled to naturals).
+    pub fn is_satisfied_by(&self, point: &[Rational]) -> bool {
+        assert_eq!(point.len(), self.dimension, "point dimension mismatch");
+        point.iter().all(|value| !value.is_negative())
+            && self.rows.iter().all(|row| row.dot(point).is_positive())
     }
 
     /// Decides rational feasibility and returns a rational witness if one
@@ -194,7 +176,7 @@ impl StrictHomogeneousSystem {
             return Ok(Some(vec![Rational::zero(); self.dimension])); // alloc-ok: returned witness
         }
         // A row of all zeros can never be strictly positive.
-        if self.rows.iter().any(super::row::GenRow::is_zero_row) {
+        if self.rows.iter().any(IntRow::is_zero_row) {
             return Ok(None);
         }
         match engine {
@@ -208,28 +190,10 @@ impl StrictHomogeneousSystem {
                 }
             }
             FeasibilityEngine::FourierMotzkin => {
-                // Each strict row A_i·ε > 0 normalises to -A_i·ε < 0, and
-                // each non-negativity ε_j ≥ 0 to -ε_j ≤ 0 — all sparse.
-                let mut forms: Vec<UpperForm> =
-                    Vec::with_capacity(self.rows.len() + self.dimension);
-                for row in self.to_sparse_rows() {
-                    let mut negated = row;
-                    negated.negate();
-                    forms.push(UpperForm {
-                        row: negated,
-                        strict: true,
-                        constant: Rational::zero(),
-                    });
-                }
-                for j in 0..self.dimension {
-                    // alloc-ok: Fourier–Motzkin route, not scratch-threaded
-                    let row = Row::sparse(self.dimension, vec![(j, -Rational::one())]);
-                    forms.push(UpperForm { row, strict: false, constant: Rational::zero() });
-                }
-                match fourier_motzkin::solve_forms(self.dimension, forms) {
+                match fourier_motzkin::strictly_feasible_point(self.dimension, &self.rows) {
                     FmOutcome::Feasible(x) => {
                         debug_assert!(
-                            self.to_linear_system().is_satisfied_by(&x),
+                            self.is_satisfied_by(&x),
                             "FM witness must satisfy the strict system"
                         );
                         Ok(Some(x))
@@ -403,21 +367,75 @@ mod tests {
     }
 
     #[test]
-    fn sparse_rows_mirror_the_integer_rows() {
+    fn rows_are_stored_sparsely_as_integers() {
         let mut sys = StrictHomogeneousSystem::new(5);
         sys.push_row_i64(&[0, 3, 0, -2, 0]);
         sys.push_sparse_row(vec![(0, Integer::one())]);
-        let rows = sys.to_sparse_rows();
+        let rows = sys.rows();
         assert_eq!(rows.len(), 2);
+        assert!(matches!(rows[0], IntRow::Sparse(_)));
         assert_eq!(rows[0].nnz(), 2);
-        assert_eq!(rows[0].get(1), Some(&Rational::from(3)));
-        assert_eq!(rows[0].get(3), Some(&Rational::from(-2)));
+        assert_eq!(rows[0].get(1), Some(&Integer::from(3)));
+        assert_eq!(rows[0].get(3), Some(&Integer::from(-2)));
         assert_eq!(rows[0].get(0), None);
-        assert_eq!(rows[1].nnz(), 1);
-        // The stored integer rows carry the same values.
-        let int_rows = sys.rows();
-        assert_eq!(int_rows[0].get(1), Some(&Integer::from(3)));
-        assert_eq!(int_rows[1].get(0), Some(&Integer::one()));
+        assert_eq!(rows[1].get(0), Some(&Integer::one()));
+    }
+
+    #[test]
+    fn rational_points_are_checked_strictly_and_non_negatively() {
+        let mut sys = StrictHomogeneousSystem::new(2);
+        sys.push_row_i64(&[1, -1]);
+        let r = |n, d| Rational::from_i64s(n, d);
+        assert!(sys.is_satisfied_by(&[r(3, 2), r(1, 1)]));
+        assert!(!sys.is_satisfied_by(&[r(1, 1), r(1, 1)]), "0 > 0 must fail");
+        assert!(!sys.is_satisfied_by(&[r(1, 1), r(-1, 2)]), "negative component");
+    }
+
+    /// The Fourier–Motzkin witnesses of this module's systems, pinned: they
+    /// are the witnesses of exact elimination over unnormalised rows, which
+    /// gcd normalisation must reproduce exactly (a positive row scale moves
+    /// no back-substitution bound).
+    #[test]
+    fn fourier_motzkin_witnesses_are_pinned() {
+        let build = |dim: usize, rows: &[&[i64]]| {
+            let mut sys = StrictHomogeneousSystem::new(dim);
+            for row in rows {
+                sys.push_row_i64(row);
+            }
+            sys
+        };
+        let rats = |vals: &[(i64, i64)]| -> Vec<Rational> {
+            vals.iter().map(|&(n, d)| Rational::from_i64s(n, d)).collect()
+        };
+        let mut cases: Vec<(StrictHomogeneousSystem, Option<Vec<Rational>>)> = vec![
+            (
+                build(3, &[&[-5, 1, 3], &[-3, -1, 3], &[-1, 1, -1]]),
+                Some(rats(&[(0, 1), (1, 1), (2, 3)])),
+            ),
+            (build(3, &[]), Some(rats(&[(0, 1), (0, 1), (0, 1)]))),
+            (build(2, &[&[0, 0], &[1, 1]]), None),
+            (build(2, &[&[-1, -2]]), None),
+            (build(2, &[&[1, -1], &[-1, 1]]), None),
+            (build(1, &[&[3]]), Some(rats(&[(1, 1)]))),
+        ];
+        let structured: [Option<&[(i64, i64)]>; 9] = [
+            None,
+            None,
+            None,
+            None,
+            Some(&[(1, 1), (3, 4), (5, 8)]),
+            Some(&[(1, 1), (1, 1), (3, 2)]),
+            Some(&[(1, 1), (0, 1), (3, 2)]),
+            Some(&[(1, 1), (0, 1), (2, 1)]),
+            Some(&[(1, 1), (0, 1), (5, 2)]),
+        ];
+        for (k, expect) in (-4i64..=4).zip(structured) {
+            cases.push((build(3, &[&[k, 1, -1], &[1, -2, 1], &[-1, 1, 1]]), expect.map(rats)));
+        }
+        for (sys, expect) in cases {
+            let witness = sys.rational_solution(FeasibilityEngine::FourierMotzkin).unwrap();
+            assert_eq!(witness, expect, "{sys:?}");
+        }
     }
 
     #[test]

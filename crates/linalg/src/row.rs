@@ -1,86 +1,49 @@
-//! Shared row storage for the LP engines: dense and sparse coefficient rows
-//! behind one abstraction, generic over the coefficient type.
+//! Integer row storage for the LP engines: dense and sparse coefficient rows
+//! behind one type.
 //!
 //! The strict homogeneous systems of Theorem 4.1 are mostly zeros: a row
 //! `e − e_i` touches only the unknowns appearing in two monomials, and the
 //! phase-1 simplex tableau built from it adds one surplus and at most one
 //! artificial coefficient to each row — a handful of non-zeros in a tableau
-//! whose width grows with the row count. [`GenSparseRow`] stores exactly the
-//! non-zero entries (sorted by column); [`GenRow`] lets the pivot/eliminate/
-//! combine routines run unchanged over dense and sparse rows, with
+//! whose width grows with the row count. [`SparseIntRow`] stores exactly the
+//! non-zero entries (sorted by column); [`IntRow`] lets the elimination and
+//! normalisation routines run unchanged over dense and sparse rows, with
 //! zero-skipping coming from the representation instead of per-loop checks.
 //!
-//! Two instantiations are used:
-//!
-//! * [`IntRow`] (`GenRow<Integer>`) — the integer rows of the fraction-free
-//!   [`simplex`](crate::simplex), where every intermediate value stays an
-//!   integer and division happens once per row, exactly;
-//! * [`Row`] (`GenRow<Rational>`) — the exact rational rows of the
-//!   Fourier–Motzkin engine.
+//! Both engines work on these rows, and both keep every coefficient an
+//! integer: the fraction-free [`simplex`](crate::simplex) and
+//! [`fourier_motzkin`](crate::fourier_motzkin) share one elimination step
+//! (`pivot·target − factor·src`) and one gcd normalisation that divides a
+//! row and its right-hand side by their common content. Rationals appear
+//! only where a witness is read off.
 //!
 //! A sparse row that fills in past half its width during elimination is
 //! densified on the spot, so the worst case degrades to the dense algorithm
 //! instead of to a slower sparse one. The converse transition is
-//! [`GenRow::resparsify`]: elimination can also *cancel* fill-in, and the
+//! [`IntRow::resparsify`]: elimination can also *cancel* fill-in, and the
 //! engines call it at pivot boundaries so a row whose density receded below
 //! the threshold goes back to paying for its non-zeros only (without it the
 //! densify ratchet was one-way and later passes scanned dense zeros).
 
 use core::fmt;
-use core::ops::Neg;
 
-use dioph_arith::{Integer, Rational};
+use dioph_arith::{Integer, Natural, Rational};
 
-/// The coefficient interface the row machinery needs: a cloneable value with
-/// an additive zero, a sign, and negation. Implemented by [`Rational`] and
-/// [`Integer`].
-pub trait Coeff:
-    Clone + PartialEq + Eq + Default + fmt::Display + fmt::Debug + Neg<Output = Self>
-{
-    /// `true` iff the value is the additive zero ([`Default`] must produce
-    /// that zero).
-    fn is_zero(&self) -> bool;
-    /// `true` iff the value is strictly negative.
-    fn is_negative(&self) -> bool;
-}
-
-impl Coeff for Rational {
-    fn is_zero(&self) -> bool {
-        Rational::is_zero(self)
-    }
-    fn is_negative(&self) -> bool {
-        Rational::is_negative(self)
-    }
-}
-
-impl Coeff for Integer {
-    fn is_zero(&self) -> bool {
-        Integer::is_zero(self)
-    }
-    fn is_negative(&self) -> bool {
-        Integer::is_negative(self)
-    }
-}
-
-/// A sparse coefficient row: strictly increasing column indices, no stored
+/// A sparse integer row: strictly increasing column indices, no stored
 /// zeros.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub struct GenSparseRow<T> {
+pub struct SparseIntRow {
     pub(crate) dim: usize,
-    pub(crate) entries: Vec<(usize, T)>,
+    pub(crate) entries: Vec<(usize, Integer)>,
 }
 
-/// The rational instantiation of [`GenSparseRow`] (the Fourier–Motzkin
-/// rows).
-pub type SparseRow = GenSparseRow<Rational>;
-
-impl<T: Coeff> GenSparseRow<T> {
+impl SparseIntRow {
     /// Builds a sparse row over `dim` columns from (column, value) entries.
     ///
     /// # Panics
     /// Panics if the entries are not strictly increasing by column, mention a
     /// column `>= dim`, or contain an explicit zero.
-    pub fn new(dim: usize, entries: Vec<(usize, T)>) -> Self {
+    pub fn new(dim: usize, entries: Vec<(usize, Integer)>) -> Self {
         let mut prev: Option<usize> = None;
         for (col, value) in &entries {
             assert!(*col < dim, "sparse entry column {col} out of bounds for dimension {dim}");
@@ -88,12 +51,7 @@ impl<T: Coeff> GenSparseRow<T> {
             assert!(!value.is_zero(), "sparse rows must not store zeros");
             prev = Some(*col);
         }
-        GenSparseRow { dim, entries }
-    }
-
-    /// Number of columns.
-    pub fn dim(&self) -> usize {
-        self.dim
+        SparseIntRow { dim, entries }
     }
 
     /// Number of stored (non-zero) entries.
@@ -101,24 +59,19 @@ impl<T: Coeff> GenSparseRow<T> {
         self.entries.len()
     }
 
-    /// The stored entries, sorted by column.
-    pub fn entries(&self) -> &[(usize, T)] {
-        &self.entries
-    }
-
-    fn get(&self, col: usize) -> Option<&T> {
+    fn get(&self, col: usize) -> Option<&Integer> {
         self.entries.binary_search_by_key(&col, |(c, _)| *c).ok().map(|idx| &self.entries[idx].1)
     }
 
-    fn take(&mut self, col: usize) -> T {
+    fn take(&mut self, col: usize) -> Integer {
         match self.entries.binary_search_by_key(&col, |(c, _)| *c) {
             Ok(idx) => self.entries.remove(idx).1,
-            Err(_) => T::default(),
+            Err(_) => Integer::zero(),
         }
     }
 
-    pub(crate) fn to_dense(&self) -> Vec<T> {
-        let mut out = vec![T::default(); self.dim]; // alloc-ok: densification
+    pub(crate) fn to_dense(&self) -> Vec<Integer> {
+        let mut out = vec![Integer::zero(); self.dim]; // alloc-ok: densification
         for (col, value) in &self.entries {
             out[*col] = value.clone();
         }
@@ -126,24 +79,18 @@ impl<T: Coeff> GenSparseRow<T> {
     }
 }
 
-/// A coefficient row in either representation.
+/// An integer coefficient row in either representation.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum GenRow<T> {
+pub enum IntRow {
     /// Every coefficient stored, zeros included.
-    Dense(Vec<T>),
+    Dense(Vec<Integer>),
     /// Only the non-zero coefficients stored.
-    Sparse(GenSparseRow<T>),
+    Sparse(SparseIntRow),
 }
-
-/// The exact rational row of the Fourier–Motzkin engine.
-pub type Row = GenRow<Rational>;
-
-/// The integer row of the fraction-free simplex.
-pub type IntRow = GenRow<Integer>;
 
 /// A sparse row is only worth its bookkeeping while it stays under half
 /// full; past that the row is densified (and re-sparsified once it recedes,
-/// see [`GenRow::resparsify`]).
+/// see [`IntRow::resparsify`]).
 const DENSIFY_NUMERATOR: usize = 1;
 const DENSIFY_DENOMINATOR: usize = 2;
 
@@ -153,15 +100,15 @@ pub(crate) fn sparse_is_worth_it(nnz: usize, dim: usize) -> bool {
     nnz * DENSIFY_DENOMINATOR <= dim * DENSIFY_NUMERATOR
 }
 
-impl<T: Coeff> GenRow<T> {
+impl IntRow {
     /// Builds a dense row.
-    pub fn dense(coeffs: Vec<T>) -> Self {
-        GenRow::Dense(coeffs)
+    pub fn dense(coeffs: Vec<Integer>) -> Self {
+        IntRow::Dense(coeffs)
     }
 
-    /// Builds a sparse row (see [`GenSparseRow::new`] for the invariants).
-    pub fn sparse(dim: usize, entries: Vec<(usize, T)>) -> Self {
-        GenRow::Sparse(GenSparseRow::new(dim, entries))
+    /// Builds a sparse row (see [`SparseIntRow::new`] for the invariants).
+    pub fn sparse(dim: usize, entries: Vec<(usize, Integer)>) -> Self {
+        IntRow::Sparse(SparseIntRow::new(dim, entries))
     }
 
     /// Picks a representation for the given entries: sparse while the row is
@@ -169,54 +116,54 @@ impl<T: Coeff> GenRow<T> {
     ///
     /// # Panics
     /// Panics if the entries violate the sparse-row invariants (see
-    /// [`GenSparseRow::new`]) — enforced on *both* sides of the density
+    /// [`SparseIntRow::new`]) — enforced on *both* sides of the density
     /// threshold, so a duplicate column can never silently overwrite a
     /// coefficient on the dense path.
-    pub fn auto(dim: usize, entries: Vec<(usize, T)>) -> Self {
-        let sparse = GenSparseRow::new(dim, entries);
+    pub fn auto(dim: usize, entries: Vec<(usize, Integer)>) -> Self {
+        let sparse = SparseIntRow::new(dim, entries);
         if sparse_is_worth_it(sparse.nnz(), dim) {
-            GenRow::Sparse(sparse)
+            IntRow::Sparse(sparse)
         } else {
-            let mut out = vec![T::default(); dim]; // alloc-ok: densification
+            let mut out = vec![Integer::zero(); dim]; // alloc-ok: densification
             for (col, value) in sparse.entries {
                 out[col] = value;
             }
-            GenRow::Dense(out)
+            IntRow::Dense(out)
         }
     }
 
     /// Builds a row from a dense slice, choosing the representation by the
     /// slice's density.
-    pub fn from_dense_auto(coeffs: &[T]) -> Self {
-        let entries: Vec<(usize, T)> = coeffs
+    pub fn from_dense_auto(coeffs: &[Integer]) -> Self {
+        let entries: Vec<(usize, Integer)> = coeffs
             .iter()
             .enumerate()
             .filter(|(_, v)| !v.is_zero())
             .map(|(i, v)| (i, v.clone()))
             .collect();
-        GenRow::auto(coeffs.len(), entries)
+        IntRow::auto(coeffs.len(), entries)
     }
 
     /// Number of columns.
     pub fn dim(&self) -> usize {
         match self {
-            GenRow::Dense(v) => v.len(),
-            GenRow::Sparse(s) => s.dim,
+            IntRow::Dense(v) => v.len(),
+            IntRow::Sparse(s) => s.dim,
         }
     }
 
     /// Number of non-zero coefficients.
     pub fn nnz(&self) -> usize {
         match self {
-            GenRow::Dense(v) => v.iter().filter(|x| !x.is_zero()).count(),
-            GenRow::Sparse(s) => s.nnz(),
+            IntRow::Dense(v) => v.iter().filter(|x| !x.is_zero()).count(),
+            IntRow::Sparse(s) => s.nnz(),
         }
     }
 
     /// The coefficient at `col`; `None` means zero.
-    pub fn get(&self, col: usize) -> Option<&T> {
+    pub fn get(&self, col: usize) -> Option<&Integer> {
         match self {
-            GenRow::Dense(v) => {
+            IntRow::Dense(v) => {
                 let value = &v[col];
                 if value.is_zero() {
                     None
@@ -224,25 +171,25 @@ impl<T: Coeff> GenRow<T> {
                     Some(value)
                 }
             }
-            GenRow::Sparse(s) => s.get(col),
+            IntRow::Sparse(s) => s.get(col),
         }
     }
 
     /// Removes and returns the coefficient at `col` (zero if absent).
-    pub fn take(&mut self, col: usize) -> T {
+    pub fn take(&mut self, col: usize) -> Integer {
         match self {
-            GenRow::Dense(v) => core::mem::take(&mut v[col]),
-            GenRow::Sparse(s) => s.take(col),
+            IntRow::Dense(v) => core::mem::take(&mut v[col]),
+            IntRow::Sparse(s) => s.take(col),
         }
     }
 
     /// Iterates the non-zero coefficients in increasing column order.
-    pub fn iter_nonzero(&self) -> impl Iterator<Item = (usize, &T)> + '_ {
+    pub fn iter_nonzero(&self) -> impl Iterator<Item = (usize, &Integer)> + '_ {
         // Both arms produce strictly increasing columns, which the sparse
-        // merges in the elimination kernels rely on.
+        // merge in the elimination step relies on.
         match self {
-            GenRow::Dense(v) => RowIter::Dense(v.iter().enumerate()),
-            GenRow::Sparse(s) => RowIter::Sparse(s.entries.iter()),
+            IntRow::Dense(v) => RowIter::Dense(v.iter().enumerate()),
+            IntRow::Sparse(s) => RowIter::Sparse(s.entries.iter()),
         }
     }
 
@@ -254,13 +201,13 @@ impl<T: Coeff> GenRow<T> {
     /// Negates every coefficient in place, reusing allocations.
     pub fn negate(&mut self) {
         match self {
-            GenRow::Dense(v) => {
+            IntRow::Dense(v) => {
                 for value in v.iter_mut() {
                     let taken = core::mem::take(value);
                     *value = -taken;
                 }
             }
-            GenRow::Sparse(s) => {
+            IntRow::Sparse(s) => {
                 for (_, value) in s.entries.iter_mut() {
                     let taken = core::mem::take(value);
                     *value = -taken;
@@ -269,119 +216,199 @@ impl<T: Coeff> GenRow<T> {
         }
     }
 
+    /// The dot product with a rational point (the back-substitution and
+    /// witness-check kernel).
+    pub fn dot(&self, point: &[Rational]) -> Rational {
+        debug_assert_eq!(point.len(), self.dim(), "dot product dimension mismatch");
+        let mut acc = Rational::zero();
+        for (col, coeff) in self.iter_nonzero() {
+            if !point[col].is_zero() {
+                acc += &(&Rational::from(coeff) * &point[col]);
+            }
+        }
+        acc
+    }
+
     /// Moves a dense row back to the sparse representation when its density
     /// has receded to the sparse side of the threshold. Elimination both
     /// creates and *cancels* fill-in; without this the densification in
-    /// the simplex's elimination step is a one-way ratchet and later passes scan dense zeros
-    /// forever. The engines call it at pivot boundaries (once per updated
-    /// row per pivot), so the scan amortises against the elimination that
-    /// just walked the same row.
+    /// the elimination step is a one-way ratchet and later passes scan dense
+    /// zeros forever. The engines call it at pivot boundaries (once per
+    /// updated row), so the scan amortises against the elimination that just
+    /// walked the same row.
     pub fn resparsify(&mut self) {
-        if let GenRow::Dense(v) = self {
+        if let IntRow::Dense(v) = self {
             let dim = v.len();
             let nnz = v.iter().filter(|x| !x.is_zero()).count();
             if sparse_is_worth_it(nnz, dim) {
-                let entries: Vec<(usize, T)> = v
+                let entries: Vec<(usize, Integer)> = v
                     .iter_mut()
                     .enumerate()
                     .filter(|(_, x)| !x.is_zero())
                     .map(|(i, x)| (i, core::mem::take(x)))
                     .collect();
-                *self = GenRow::Sparse(GenSparseRow { dim, entries });
+                *self = IntRow::Sparse(SparseIntRow { dim, entries });
             }
         }
     }
 
     /// `true` iff the representation matches the density threshold: sparse
     /// rows hold at most half their width in non-zeros, dense rows more.
-    /// This is the invariant `auto` establishes and the simplex's
-    /// elimination step plus [`Self::resparsify`] maintain (asserted by its
-    /// tests).
+    /// This is the invariant `auto` establishes and the elimination step plus
+    /// [`Self::resparsify`] maintain (asserted by the tests).
     pub fn representation_is_canonical(&self) -> bool {
         match self {
-            GenRow::Dense(_) => !sparse_is_worth_it(self.nnz(), self.dim()),
-            GenRow::Sparse(s) => sparse_is_worth_it(s.nnz(), s.dim),
+            IntRow::Dense(_) => !sparse_is_worth_it(self.nnz(), self.dim()),
+            IntRow::Sparse(s) => sparse_is_worth_it(s.nnz(), s.dim),
         }
     }
 
     /// A dense copy of the coefficients (used by displays and tests).
-    pub fn to_dense_vec(&self) -> Vec<T> {
+    pub fn to_dense_vec(&self) -> Vec<Integer> {
         match self {
-            GenRow::Dense(v) => v.clone(),
-            GenRow::Sparse(s) => s.to_dense(),
+            IntRow::Dense(v) => v.clone(),
+            IntRow::Sparse(s) => s.to_dense(),
+        }
+    }
+
+    /// The fraction-free elimination step shared by both engines:
+    /// `self ← pivot·self − factor·src`, skipping the column `skip` (whose
+    /// coefficient the caller already removed with [`Self::take`]). A sparse
+    /// row that fills in past the density threshold is densified here. The
+    /// sparse merge writes into `spare` (swapped with the row's storage
+    /// afterwards), so a pivot loop recycles one buffer across every
+    /// elimination.
+    pub(crate) fn eliminate(
+        &mut self,
+        pivot: &Integer,
+        factor: &Integer,
+        src: &IntRow,
+        skip: usize,
+        spare: &mut Vec<(usize, Integer)>,
+    ) {
+        match self {
+            IntRow::Dense(v) => {
+                // The cross-multiplication rescales every stored entry, so a
+                // dense target is two passes: scale, then subtract over the
+                // source's non-zeros.
+                for value in v.iter_mut() {
+                    if !value.is_zero() {
+                        let taken = core::mem::take(value);
+                        *value = &taken * pivot;
+                    }
+                }
+                for (col, coeff) in src.iter_nonzero() {
+                    if col == skip {
+                        continue;
+                    }
+                    let delta = factor * coeff;
+                    v[col] -= &delta;
+                }
+            }
+            IntRow::Sparse(s) => {
+                // Sorted two-stream merge of the target entries and the
+                // non-`skip` entries of `src`; exact zeros are dropped,
+                // preserving the no-stored-zeros invariant.
+                spare.clear();
+                spare.reserve(s.entries.len() + src.nnz());
+                let mut it = s.entries.iter().peekable();
+                let mut is = src.iter_nonzero().filter(|&(col, _)| col != skip).peekable();
+                loop {
+                    let (col, value) = match (it.peek(), is.peek()) {
+                        (None, None) => break,
+                        (Some(&&(ct, ref vt)), Some(&(cs, vs))) if ct == cs => {
+                            let value = &(vt * pivot) - &(factor * vs);
+                            it.next();
+                            is.next();
+                            (ct, value)
+                        }
+                        (Some(&&(ct, ref vt)), Some(&(cs, _))) if ct < cs => {
+                            let value = vt * pivot;
+                            it.next();
+                            (ct, value)
+                        }
+                        (Some(_), Some(&(cs, vs))) => {
+                            let value = -(factor * vs);
+                            is.next();
+                            (cs, value)
+                        }
+                        (Some(&&(ct, ref vt)), None) => {
+                            let value = vt * pivot;
+                            it.next();
+                            (ct, value)
+                        }
+                        (None, Some(&(cs, vs))) => {
+                            let value = -(factor * vs);
+                            is.next();
+                            (cs, value)
+                        }
+                    };
+                    if !value.is_zero() {
+                        spare.push((col, value));
+                    }
+                }
+                core::mem::swap(&mut s.entries, spare);
+                if !sparse_is_worth_it(s.entries.len(), s.dim) {
+                    *self = IntRow::Dense(s.to_dense());
+                }
+            }
         }
     }
 }
 
-impl Row {
-    /// The shared combination routine: `a_coeff * a + b_coeff * b` as a new
-    /// row (the Fourier–Motzkin pair step). Exact zeros produced by
-    /// cancellation are dropped.
-    ///
-    /// # Panics
-    /// Panics if the rows have different dimensions.
-    pub fn linear_combination(a_coeff: &Rational, a: &Row, b_coeff: &Rational, b: &Row) -> Row {
-        assert_eq!(a.dim(), b.dim(), "row dimension mismatch in linear combination");
-        let mut entries: Vec<(usize, Rational)> = Vec::with_capacity(a.nnz() + b.nnz());
-        let mut ia = a.iter_nonzero().peekable();
-        let mut ib = b.iter_nonzero().peekable();
-        loop {
-            let value = match (ia.peek(), ib.peek()) {
-                (None, None) => break,
-                (Some(&(ca, va)), Some(&(cb, vb))) if ca == cb => {
-                    let v = &(a_coeff * va) + &(b_coeff * vb);
-                    ia.next();
-                    ib.next();
-                    (ca, v)
+/// Divides `row` and `rhs` by the gcd of their entries and `seed` — the
+/// single exact division of a fraction-free step — and returns that divisor,
+/// or `None` when there is nothing to divide by (a gcd of 1, or of 0 for an
+/// all-zero row, rhs and seed). The divisor is positive, so every sign and
+/// every ratio `rhs / row[j]` is untouched.
+///
+/// The simplex seeds the gcd with a row's positive denominator (and then
+/// divides the denominator by the result); Fourier–Motzkin seeds it with
+/// zero, which leaves exactly the content of the row and its constant.
+pub(crate) fn normalise_row(
+    row: &mut IntRow,
+    rhs: &mut Integer,
+    seed: &Natural,
+) -> Option<Natural> {
+    let mut g: Natural = rhs.gcd(&Integer::from(seed));
+    for (_, value) in row.iter_nonzero() {
+        if g.is_one() {
+            return None;
+        }
+        g = value.gcd(&Integer::from(g));
+    }
+    if g.is_one() || g.is_zero() {
+        return None;
+    }
+    let divisor = Integer::from(g.clone());
+    match row {
+        IntRow::Dense(v) => {
+            for value in v.iter_mut() {
+                if !value.is_zero() {
+                    let taken = core::mem::take(value);
+                    *value = taken.exact_div(&divisor);
                 }
-                (Some(&(ca, va)), Some(&(cb, _))) if ca < cb => {
-                    ia.next();
-                    (ca, a_coeff * va)
-                }
-                (Some(_), Some(&(cb, vb))) => {
-                    ib.next();
-                    (cb, b_coeff * vb)
-                }
-                (Some(&(ca, va)), None) => {
-                    ia.next();
-                    (ca, a_coeff * va)
-                }
-                (None, Some(&(cb, vb))) => {
-                    ib.next();
-                    (cb, b_coeff * vb)
-                }
-            };
-            if !value.1.is_zero() {
-                entries.push(value);
             }
         }
-        Row::auto(a.dim(), entries)
-    }
-
-    /// Dot product with a dense point, skipping the column `skip` (pass
-    /// `usize::MAX` — or any column `>= dim` — to skip nothing). This is the
-    /// back-substitution kernel of Fourier–Motzkin.
-    pub fn dot_skip(&self, point: &[Rational], skip: usize) -> Rational {
-        debug_assert_eq!(point.len(), self.dim(), "dot product dimension mismatch");
-        let mut acc = Rational::zero();
-        for (col, coeff) in self.iter_nonzero() {
-            if col == skip || point[col].is_zero() {
-                continue;
+        IntRow::Sparse(s) => {
+            for (_, value) in s.entries.iter_mut() {
+                let taken = core::mem::take(value);
+                *value = taken.exact_div(&divisor);
             }
-            acc += &(coeff * &point[col]);
         }
-        acc
     }
+    *rhs = rhs.exact_div(&divisor);
+    Some(g)
 }
 
 /// Iterator over the non-zero entries of either representation.
-enum RowIter<'a, T> {
-    Dense(core::iter::Enumerate<core::slice::Iter<'a, T>>),
-    Sparse(core::slice::Iter<'a, (usize, T)>),
+enum RowIter<'a> {
+    Dense(core::iter::Enumerate<core::slice::Iter<'a, Integer>>),
+    Sparse(core::slice::Iter<'a, (usize, Integer)>),
 }
 
-impl<'a, T: Coeff> Iterator for RowIter<'a, T> {
-    type Item = (usize, &'a T);
+impl<'a> Iterator for RowIter<'a> {
+    type Item = (usize, &'a Integer);
 
     fn next(&mut self) -> Option<Self::Item> {
         match self {
@@ -391,64 +418,7 @@ impl<'a, T: Coeff> Iterator for RowIter<'a, T> {
     }
 }
 
-/// The sorted two-stream merge of the simplex's elimination step: walks the
-/// `target` entries and the non-`skip` entries of `src` in column order,
-/// producing `map_target(v)` for target-only columns, `map_src(v)` for
-/// src-only columns and `combine(vt, vs)` where both are present. Exact
-/// zeros are dropped, preserving the sparse no-stored-zeros invariant.
-///
-/// The merge writes into `out` (cleared first) so pivot loops can recycle
-/// one output buffer across eliminations instead of allocating per merge.
-pub(crate) fn merge_sparse<T: Coeff>(
-    out: &mut Vec<(usize, T)>,
-    target: &[(usize, T)],
-    src: &GenRow<T>,
-    skip: usize,
-    mut map_target: impl FnMut(&T) -> T,
-    mut map_src: impl FnMut(&T) -> T,
-    mut combine: impl FnMut(&T, &T) -> T,
-) {
-    out.clear();
-    out.reserve(target.len() + src.nnz());
-    let mut it = target.iter().peekable();
-    let mut is = src.iter_nonzero().filter(|&(col, _)| col != skip).peekable();
-    loop {
-        let (col, value) = match (it.peek(), is.peek()) {
-            (None, None) => break,
-            (Some(&&(ct, ref vt)), Some(&(cs, vs))) if ct == cs => {
-                let value = combine(vt, vs);
-                it.next();
-                is.next();
-                (ct, value)
-            }
-            (Some(&&(ct, ref vt)), Some(&(cs, _))) if ct < cs => {
-                let value = map_target(vt);
-                it.next();
-                (ct, value)
-            }
-            (Some(_), Some(&(cs, vs))) => {
-                let value = map_src(vs);
-                is.next();
-                (cs, value)
-            }
-            (Some(&&(ct, ref vt)), None) => {
-                let value = map_target(vt);
-                it.next();
-                (ct, value)
-            }
-            (None, Some(&(cs, vs))) => {
-                let value = map_src(vs);
-                is.next();
-                (cs, value)
-            }
-        };
-        if !value.is_zero() {
-            out.push((col, value));
-        }
-    }
-}
-
-impl<T: Coeff> fmt::Display for GenRow<T> {
+impl fmt::Display for IntRow {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut first = true;
         for (col, value) in self.iter_nonzero() {
@@ -456,7 +426,7 @@ impl<T: Coeff> fmt::Display for GenRow<T> {
                 write!(f, "{value}*x{col}")?;
                 first = false;
             } else if value.is_negative() {
-                write!(f, " - {}*x{col}", value.clone().neg())?;
+                write!(f, " - {}*x{col}", -value)?;
             } else {
                 write!(f, " + {value}*x{col}")?;
             }
@@ -472,22 +442,29 @@ impl<T: Coeff> fmt::Display for GenRow<T> {
 mod tests {
     use super::*;
 
-    fn r(n: i64) -> Rational {
-        Rational::from(n)
+    fn i(n: i64) -> Integer {
+        Integer::from(n)
     }
 
-    fn dense(vals: &[i64]) -> Row {
-        Row::Dense(vals.iter().map(|&v| Rational::from(v)).collect())
+    fn ints(vals: &[i64]) -> Vec<Integer> {
+        vals.iter().map(|&v| Integer::from(v)).collect()
     }
 
-    fn sparse(dim: usize, entries: &[(usize, i64)]) -> Row {
-        Row::sparse(dim, entries.iter().map(|&(c, v)| (c, Rational::from(v))).collect())
+    fn dense(vals: &[i64]) -> IntRow {
+        IntRow::Dense(ints(vals))
+    }
+
+    fn sparse(vals: &[i64]) -> IntRow {
+        IntRow::sparse(
+            vals.len(),
+            vals.iter().enumerate().filter(|(_, &v)| v != 0).map(|(c, &v)| (c, i(v))).collect(),
+        )
     }
 
     #[test]
     fn representations_agree_on_accessors() {
-        let d = dense(&[0, 3, 0, -2, 0, 0, 0, 0]);
-        let s = sparse(8, &[(1, 3), (3, -2)]);
+        let vals = [0, 3, 0, -2, 0, 0, 0, 0];
+        let (d, s) = (dense(&vals), sparse(&vals));
         assert_eq!(d.dim(), s.dim());
         assert_eq!(d.nnz(), 2);
         assert_eq!(s.nnz(), 2);
@@ -498,40 +475,24 @@ mod tests {
         let sv: Vec<_> = s.iter_nonzero().map(|(c, v)| (c, v.clone())).collect();
         assert_eq!(dv, sv);
         assert_eq!(d.to_dense_vec(), s.to_dense_vec());
-    }
-
-    #[test]
-    fn integer_rows_share_the_machinery() {
-        let i = |v: i64| Integer::from(v);
-        let d = IntRow::dense(vec![i(0), i(4), i(0), i(-6)]);
-        let s = IntRow::sparse(4, vec![(1, i(4)), (3, i(-6))]);
-        assert_eq!(d.nnz(), 2);
-        for col in 0..4 {
-            assert_eq!(d.get(col), s.get(col), "column {col}");
-        }
-        assert_eq!(d.to_dense_vec(), s.to_dense_vec());
-        assert_eq!(s.to_string(), "4*x1 - 6*x3");
-        let mut negated = s.clone();
-        negated.negate();
-        assert_eq!(negated.get(1), Some(&i(-4)));
-        assert!(matches!(IntRow::auto(8, vec![(0, i(1))]), GenRow::Sparse(_)));
+        assert_eq!(s.to_string(), "3*x1 - 2*x3");
     }
 
     #[test]
     fn auto_picks_by_density() {
-        assert!(matches!(Row::auto(8, vec![(1, r(1))]), Row::Sparse(_)));
-        let dense_entries: Vec<(usize, Rational)> = (0..6).map(|i| (i, r(1))).collect();
-        assert!(matches!(Row::auto(8, dense_entries), Row::Dense(_)));
-        assert!(matches!(Row::from_dense_auto(&[r(0), r(1), r(0), r(0)]), Row::Sparse(_)));
+        assert!(matches!(IntRow::auto(8, vec![(1, i(1))]), IntRow::Sparse(_)));
+        let dense_entries: Vec<(usize, Integer)> = (0..6).map(|c| (c, i(1))).collect();
+        assert!(matches!(IntRow::auto(8, dense_entries), IntRow::Dense(_)));
+        assert!(matches!(IntRow::from_dense_auto(&ints(&[0, 1, 0, 0])), IntRow::Sparse(_)));
     }
 
     #[test]
     fn take_zeroes_the_column() {
-        for mut row in [dense(&[0, 5, 0, 7]), sparse(4, &[(1, 5), (3, 7)])] {
-            assert_eq!(row.take(1), r(5));
+        for mut row in [dense(&[0, 5, 0, 7]), sparse(&[0, 5, 0, 7])] {
+            assert_eq!(row.take(1), i(5));
             assert_eq!(row.get(1), None);
-            assert_eq!(row.take(0), r(0));
-            assert_eq!(row.get(3), Some(&r(7)));
+            assert_eq!(row.take(0), i(0));
+            assert_eq!(row.get(3), Some(&i(7)));
         }
     }
 
@@ -540,56 +501,116 @@ mod tests {
         // A dense row still past the threshold stays dense ...
         let mut row = dense(&[1, 1, 1, 1, 1, 0, 0, 0]);
         row.resparsify();
-        assert!(matches!(row, Row::Dense(_)), "5/8 non-zero: stays dense");
+        assert!(matches!(row, IntRow::Dense(_)), "5/8 non-zero: stays dense");
         // ... one whose density receded goes back to sparse.
         let mut row = dense(&[1, 0, 0, 0, 0, 0, 0, -1]);
         assert!(!row.representation_is_canonical());
         row.resparsify();
-        assert!(matches!(row, Row::Sparse(_)), "receded fill-in must re-sparsify");
+        assert!(matches!(row, IntRow::Sparse(_)), "receded fill-in must re-sparsify");
         assert!(row.representation_is_canonical());
-        assert_eq!(row.to_dense_vec(), dense(&[1, 0, 0, 0, 0, 0, 0, -1]).to_dense_vec());
+        assert_eq!(row.to_dense_vec(), ints(&[1, 0, 0, 0, 0, 0, 0, -1]));
         // Idempotent on sparse rows.
         row.resparsify();
-        assert!(matches!(row, Row::Sparse(_)));
+        assert!(matches!(row, IntRow::Sparse(_)));
     }
 
     #[test]
-    fn linear_combination_cancels_exactly() {
-        // 3 * (1, -2) + 2 * (-1, 3): column 0 cancels 3*1 + 2*(-1) = 1 ... no.
-        // Use u*lo + (-l)*up with lo = (-2, 1), up = (3, 5) on column 0:
-        // 3*(-2) + 2*3 = 0 — the eliminated column must vanish from storage.
-        let lo = sparse(2, &[(0, -2), (1, 1)]);
-        let up = sparse(2, &[(0, 3), (1, 5)]);
-        let combined = Row::linear_combination(&r(3), &lo, &r(2), &up);
-        assert_eq!(combined.get(0), None);
-        assert!(combined.iter_nonzero().all(|(c, _)| c != 0));
-        assert_eq!(combined.get(1), Some(&r(13)));
-        // Dense/sparse mixes agree.
-        let combined_mixed = Row::linear_combination(&r(3), &dense(&[-2, 1]), &r(2), &up);
-        assert_eq!(combined.to_dense_vec(), combined_mixed.to_dense_vec());
-    }
-
-    #[test]
-    fn dot_skip_and_negate() {
-        let point = vec![r(1), r(2), r(3)];
-        for mut row in [dense(&[2, 0, -1]), sparse(3, &[(0, 2), (2, -1)])] {
-            assert_eq!(row.dot_skip(&point, usize::MAX), r(-1));
-            assert_eq!(row.dot_skip(&point, 2), r(2));
+    fn dot_and_negate() {
+        let point = vec![Rational::from(1), Rational::from_i64s(1, 2), Rational::from(3)];
+        for mut row in [dense(&[2, 4, -1]), sparse(&[2, 0, -1])] {
+            let expect = if row.get(1).is_some() { Rational::from(1) } else { Rational::from(-1) };
+            assert_eq!(row.dot(&point), expect);
             row.negate();
-            assert_eq!(row.dot_skip(&point, usize::MAX), r(1));
+            assert_eq!(row.dot(&point), -&expect);
         }
     }
 
     #[test]
+    fn normalise_row_divides_out_the_content() {
+        for mut row in [dense(&[0, 4, -6, 0]), sparse(&[0, 4, -6, 0])] {
+            let mut rhs = i(-10);
+            assert_eq!(
+                normalise_row(&mut row, &mut rhs, &Natural::zero()),
+                Some(Natural::from(2u64))
+            );
+            assert_eq!(row.to_dense_vec(), ints(&[0, 2, -3, 0]));
+            assert_eq!(rhs, i(-5));
+            // Already primitive: nothing to divide.
+            assert_eq!(normalise_row(&mut row, &mut rhs, &Natural::zero()), None);
+        }
+        // The seed joins the gcd (the simplex's denominator).
+        let mut row = dense(&[6, 0, 12]);
+        let mut rhs = i(18);
+        assert_eq!(
+            normalise_row(&mut row, &mut rhs, &Natural::from(4u64)),
+            Some(Natural::from(2u64))
+        );
+        assert_eq!((row.to_dense_vec(), rhs), (ints(&[3, 0, 6]), i(9)));
+        // An all-zero row with a zero rhs has no content to divide by.
+        let mut zero = sparse(&[0, 0]);
+        let mut rhs = i(0);
+        assert_eq!(normalise_row(&mut zero, &mut rhs, &Natural::zero()), None);
+    }
+
+    /// `pivot·target − factor·src` (skipping `skip`) on dense integer
+    /// vectors: the reference the elimination step must reproduce.
+    fn eliminate_reference(
+        target: &[i64],
+        pivot: i64,
+        factor: i64,
+        src: &[i64],
+        skip: usize,
+    ) -> Vec<Integer> {
+        target
+            .iter()
+            .zip(src)
+            .enumerate()
+            .map(|(col, (&t, &s))| {
+                let scaled = i(t) * i(pivot);
+                if col == skip {
+                    scaled
+                } else {
+                    scaled - i(factor) * i(s)
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn elimination_matches_dense_reference_in_every_representation() {
+        let target_vals = [3i64, 0, 5, -1, 0, 2, 0, 0];
+        let src_vals = [7i64, 1, 0, -1, 4, 2, 0, 0];
+        let expect = eliminate_reference(&target_vals, 3, 2, &src_vals, 0);
+        for target in [dense(&target_vals), sparse(&target_vals)] {
+            for src in [dense(&src_vals), sparse(&src_vals)] {
+                let mut t = target.clone();
+                let mut spare = Vec::new();
+                t.eliminate(&i(3), &i(2), &src, 0, &mut spare);
+                assert_eq!(t.to_dense_vec(), expect);
+            }
+        }
+    }
+
+    #[test]
+    fn elimination_densifies_on_fill_in() {
+        let mut target = IntRow::sparse(8, vec![(0, i(1))]);
+        let src = dense(&[0, 1, 1, 1, 1, 1, 1, 1]);
+        let mut spare = Vec::new();
+        target.eliminate(&i(1), &i(1), &src, usize::MAX, &mut spare);
+        assert!(matches!(target, IntRow::Dense(_)), "fill-in past half must densify");
+        assert_eq!(target.to_dense_vec(), ints(&[1, -1, -1, -1, -1, -1, -1, -1]));
+    }
+
+    #[test]
     fn display_reads_like_a_constraint_lhs() {
-        assert_eq!(sparse(4, &[(0, 2), (2, -3)]).to_string(), "2*x0 - 3*x2");
-        assert_eq!(sparse(4, &[]).to_string(), "0");
+        assert_eq!(sparse(&[2, 0, -3, 0]).to_string(), "2*x0 - 3*x2");
+        assert_eq!(sparse(&[0, 0, 0, 0]).to_string(), "0");
     }
 
     #[test]
     #[should_panic(expected = "strictly increasing")]
     fn unsorted_sparse_entries_are_rejected() {
-        let _ = Row::sparse(4, vec![(2, r(1)), (1, r(1))]);
+        let _ = IntRow::sparse(4, vec![(2, i(1)), (1, i(1))]);
     }
 
     #[test]
@@ -598,12 +619,54 @@ mod tests {
         // Three entries over four columns land on the dense path; the
         // duplicate column must still panic instead of silently
         // overwriting a coefficient.
-        let _ = Row::auto(4, vec![(1, r(1)), (1, r(2)), (2, r(3))]);
+        let _ = IntRow::auto(4, vec![(1, i(1)), (1, i(2)), (2, i(3))]);
     }
 
     #[test]
     #[should_panic(expected = "must not store zeros")]
     fn explicit_zero_entries_are_rejected() {
-        let _ = Row::sparse(4, vec![(1, r(0))]);
+        let _ = IntRow::sparse(4, vec![(1, i(0))]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// The dense/sparse representation stays canonical through
+        /// elimination: the step densifies past the threshold, and
+        /// `resparsify` (the pivot boundary call) brings receded rows back —
+        /// the ratchet releases. Values match the dense reference throughout.
+        #[test]
+        fn row_representation_stays_canonical_under_elimination(
+            target in proptest::collection::vec(-3i64..=3, 4..12),
+            srcs in proptest::collection::vec(
+                (proptest::collection::vec(-3i64..=3, 4..12), 1i64..=3, -2i64..=2),
+                1..6,
+            ),
+        ) {
+            let dim = target.len();
+            let mut row = IntRow::from_dense_auto(&ints(&target));
+            let mut expect = target.clone();
+            let mut spare = Vec::new();
+            proptest::prop_assert!(row.representation_is_canonical());
+            for (src, pivot, factor) in srcs {
+                let mut padded = src;
+                padded.resize(dim, 0);
+                let src_row = IntRow::from_dense_auto(&ints(&padded));
+                row.eliminate(&i(pivot), &i(factor), &src_row, usize::MAX, &mut spare);
+                row.resparsify();
+                expect = expect
+                    .iter()
+                    .zip(&padded)
+                    .map(|(&t, &s)| t * pivot - factor * s)
+                    .collect();
+                proptest::prop_assert!(
+                    row.representation_is_canonical(),
+                    "non-canonical representation: nnz={} dim={}",
+                    row.nnz(),
+                    row.dim()
+                );
+                proptest::prop_assert_eq!(row.to_dense_vec(), ints(&expect));
+            }
+        }
     }
 }

@@ -10,9 +10,13 @@
 //! near-identical shapes, so all of that capacity is recyclable.
 //!
 //! [`LpScratch`] owns those buffers. [`RowPool`] recycles the sparse entry
-//! vectors that back [`GenRow::Sparse`] rows — tableau rows are torn back
+//! vectors that back [`IntRow::Sparse`] rows — tableau rows are torn back
 //! down into their entry storage at the next `LpScratch::reset` instead of
-//! being dropped.
+//! being dropped. The same pool is the recycling home for the rows of a
+//! [`StrictHomogeneousSystem`](crate::StrictHomogeneousSystem), so one
+//! probe's constraint rows become the next probe's tableau rows.
+//! Fourier–Motzkin takes no scratch: it is a baseline and a test reference,
+//! not on any hot path.
 //!
 //! Reuse is **capacity-only**: every buffer is cleared before use, so a
 //! kernel run through a warmed scratch performs bit-identical arithmetic
@@ -25,23 +29,17 @@
 
 use dioph_arith::{Integer, Natural, Rational};
 
-use crate::row::{sparse_is_worth_it, Coeff, GenRow, GenSparseRow, IntRow};
+use crate::row::{sparse_is_worth_it, IntRow, SparseIntRow};
 
 /// A pool of sparse-row entry vectors: spent rows are torn down into their
-/// `Vec<(usize, T)>` storage and handed back out, cleared, with their
+/// `Vec<(usize, Integer)>` storage and handed back out, cleared, with their
 /// capacity intact.
-#[derive(Debug)]
-pub struct RowPool<T> {
-    spare: Vec<Vec<(usize, T)>>,
+#[derive(Debug, Default)]
+pub struct RowPool {
+    spare: Vec<Vec<(usize, Integer)>>,
 }
 
-impl<T> Default for RowPool<T> {
-    fn default() -> Self {
-        RowPool { spare: Vec::new() }
-    }
-}
-
-impl<T: Coeff> RowPool<T> {
+impl RowPool {
     /// An empty pool.
     pub fn new() -> Self {
         Self::default()
@@ -49,7 +47,7 @@ impl<T: Coeff> RowPool<T> {
 
     /// Takes an empty entry vector from the pool, allocating a fresh one
     /// (and counting an `alloc.scratch.spills`) only when the pool is dry.
-    pub fn take(&mut self) -> Vec<(usize, T)> {
+    pub fn take(&mut self) -> Vec<(usize, Integer)> {
         match self.spare.pop() {
             Some(entries) => entries,
             None => {
@@ -60,7 +58,7 @@ impl<T: Coeff> RowPool<T> {
     }
 
     /// Returns an entry vector's capacity to the pool.
-    pub fn put(&mut self, mut entries: Vec<(usize, T)>) {
+    pub fn put(&mut self, mut entries: Vec<(usize, Integer)>) {
         entries.clear();
         self.spare.push(entries);
         dioph_obs::registry::ALLOC_POOL_ROWS_HWM.record_max(self.spare.len() as u64);
@@ -69,8 +67,8 @@ impl<T: Coeff> RowPool<T> {
     /// Tears a row down, reclaiming its sparse entry storage. Dense storage
     /// is simply dropped — the systems of the paper's reduction stay sparse
     /// end to end, so dense rows are the exception, not the steady state.
-    pub fn reclaim(&mut self, row: GenRow<T>) {
-        if let GenRow::Sparse(sparse) = row {
+    pub fn reclaim(&mut self, row: IntRow) {
+        if let IntRow::Sparse(sparse) = row {
             self.put(sparse.entries);
         }
     }
@@ -81,35 +79,35 @@ impl<T: Coeff> RowPool<T> {
     }
 }
 
-/// [`GenRow::auto`] with pooled storage: identical representation choice,
+/// [`IntRow::auto`] with pooled storage: identical representation choice,
 /// but when the dense side wins the (now spent) entry vector goes back to
 /// the pool instead of being dropped.
-pub(crate) fn auto_pooled<T: Coeff>(
+pub(crate) fn auto_pooled(
     dim: usize,
-    entries: Vec<(usize, T)>,
-    pool: &mut RowPool<T>,
-) -> GenRow<T> {
-    let sparse = GenSparseRow::new(dim, entries);
+    entries: Vec<(usize, Integer)>,
+    pool: &mut RowPool,
+) -> IntRow {
+    let sparse = SparseIntRow::new(dim, entries);
     if sparse_is_worth_it(sparse.nnz(), dim) {
-        GenRow::Sparse(sparse)
+        IntRow::Sparse(sparse)
     } else {
-        let mut out = vec![T::default(); dim]; // alloc-ok: dense rows bypass the pool
+        let mut out = vec![Integer::zero(); dim]; // alloc-ok: dense rows bypass the pool
         let mut entries = sparse.entries;
         for (col, value) in entries.drain(..) {
             out[col] = value;
         }
         pool.put(entries);
-        GenRow::Dense(out)
+        IntRow::Dense(out)
     }
 }
 
 /// The per-call working set of the phase-1 simplex, with every buffer
 /// recycled across calls — one per worker.
 ///
-/// The integer pool ([`LpScratch::int_pool`]) is also the recycling home
-/// for [`StrictHomogeneousSystem`](crate::StrictHomogeneousSystem) rows —
-/// the MPI layer builds its systems from the same storage the simplex
-/// tableau draws on.
+/// The row pool ([`LpScratch::int_pool`]) is also the recycling home for
+/// [`StrictHomogeneousSystem`](crate::StrictHomogeneousSystem) rows — the
+/// MPI layer builds its systems from the same storage the simplex tableau
+/// draws on.
 #[derive(Debug, Default)]
 pub struct LpScratch {
     /// Standard-form construction: which rows need an artificial variable.
@@ -135,7 +133,7 @@ pub struct LpScratch {
     /// next one.
     pub(crate) merge_buf: Vec<(usize, Integer)>,
     /// Recycled entry storage backing the sparse rows above.
-    pub(crate) pool: RowPool<Integer>,
+    pub(crate) pool: RowPool,
 }
 
 impl LpScratch {
@@ -145,10 +143,10 @@ impl LpScratch {
         Self::default()
     }
 
-    /// The shared integer entry pool, for callers that build
+    /// The shared row pool, for callers that build
     /// [`StrictHomogeneousSystem`](crate::StrictHomogeneousSystem) rows out
     /// of recycled storage.
-    pub fn int_pool(&mut self) -> &mut RowPool<Integer> {
+    pub fn int_pool(&mut self) -> &mut RowPool {
         &mut self.pool
     }
 
@@ -176,7 +174,7 @@ mod tests {
 
     #[test]
     fn pool_round_trips_sparse_entry_storage() {
-        let mut pool: RowPool<Integer> = RowPool::new();
+        let mut pool = RowPool::new();
         assert_eq!(pool.held(), 0);
         let mut entries = pool.take();
         entries.push((1, Integer::from(7)));
@@ -192,14 +190,14 @@ mod tests {
 
     #[test]
     fn dense_rows_are_dropped_not_pooled() {
-        let mut pool: RowPool<Integer> = RowPool::new();
+        let mut pool = RowPool::new();
         pool.reclaim(IntRow::dense(vec![Integer::one(), Integer::one()]));
         assert_eq!(pool.held(), 0);
     }
 
     #[test]
     fn auto_pooled_matches_auto_and_recycles_the_dense_side() {
-        let mut pool: RowPool<Integer> = RowPool::new();
+        let mut pool = RowPool::new();
         // Sparse-worthy entries: representation matches `auto`, storage kept.
         let sparse_entries = vec![(1, Integer::from(3))];
         let row = auto_pooled(8, sparse_entries.clone(), &mut pool);

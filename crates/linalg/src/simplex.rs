@@ -52,7 +52,7 @@
 use dioph_arith::{Integer, Natural, Rational};
 
 use crate::error::{iteration_budget, LinalgError};
-use crate::row::{merge_sparse, sparse_is_worth_it, GenRow, IntRow};
+use crate::row::{normalise_row, IntRow};
 use crate::scratch::{auto_pooled, LpScratch};
 
 /// Result of a phase-1 simplex run.
@@ -340,107 +340,23 @@ fn attach_artificials_and_run(
                 let (head, tail) = rows.split_at_mut(leave);
                 (&tail[0], &mut head[i])
             };
-            eliminate_fraction_free(target_row, &pivot, &factor, leave_row, enter, merge_buf);
+            target_row.eliminate(&pivot, &factor, leave_row, enter, merge_buf);
             rhs[i] = &(&pivot * &rhs[i]) - &(&factor * &rhs[leave]);
             dens[i] = &dens[i] * &pivot.magnitude();
-            normalise_row(target_row, &mut rhs[i], &mut dens[i]);
+            if let Some(g) = normalise_row(target_row, &mut rhs[i], &dens[i]) {
+                dens[i] = &dens[i] / &g;
+            }
             // Pivot boundary: elimination can cancel earlier fill-in, and a
             // densified row whose density receded must not stay dense (the
             // one-way ratchet made later passes scan dead zeros).
             target_row.resparsify();
         }
         dens[leave] = pivot.magnitude();
-        normalise_row(&mut rows[leave], &mut rhs[leave], &mut dens[leave]);
+        if let Some(g) = normalise_row(&mut rows[leave], &mut rhs[leave], &dens[leave]) {
+            dens[leave] = &dens[leave] / &g;
+        }
         basis[leave] = enter;
     }
-}
-
-/// The fraction-free elimination step: `target ← pivot·target − factor·src`,
-/// skipping the column `skip` (whose coefficient the caller already removed
-/// with `take`). A sparse row that fills in past the density threshold is
-/// densified here. The sparse merge writes into `spare` (swapped with the
-/// row's storage afterwards), so the pivot loop recycles one buffer across
-/// every elimination.
-fn eliminate_fraction_free(
-    target: &mut IntRow,
-    pivot: &Integer,
-    factor: &Integer,
-    src: &IntRow,
-    skip: usize,
-    spare: &mut Vec<(usize, Integer)>,
-) {
-    match target {
-        GenRow::Dense(v) => {
-            // The cross-multiplication rescales every stored entry, so a
-            // dense target is two passes: scale, then subtract over the
-            // source's non-zeros.
-            for value in v.iter_mut() {
-                if !value.is_zero() {
-                    let taken = core::mem::take(value);
-                    *value = &taken * pivot;
-                }
-            }
-            for (col, coeff) in src.iter_nonzero() {
-                if col == skip {
-                    continue;
-                }
-                let delta = factor * coeff;
-                v[col] -= &delta;
-            }
-        }
-        GenRow::Sparse(s) => {
-            merge_sparse(
-                spare,
-                &s.entries,
-                src,
-                skip,
-                |vt| vt * pivot,
-                |vs| -(factor * vs),
-                |vt, vs| &(vt * pivot) - &(factor * vs),
-            );
-            core::mem::swap(&mut s.entries, spare);
-            if !sparse_is_worth_it(s.entries.len(), s.dim) {
-                *target = GenRow::Dense(s.to_dense());
-            }
-        }
-    }
-}
-
-/// Divides a row, its rhs and its denominator by their common gcd — the
-/// single exact division of the fraction-free step. The gcd always includes
-/// the (positive) denominator, so the reduced denominator stays positive and
-/// the row's rational value is untouched.
-fn normalise_row(row: &mut IntRow, rhs: &mut Integer, den: &mut Natural) {
-    let mut g: Natural = rhs.gcd(&Integer::from(den.clone()));
-    for (_, value) in row.iter_nonzero() {
-        if g.is_one() {
-            return;
-        }
-        g = value.gcd(&Integer::from(g));
-    }
-    if g.is_one() {
-        return;
-    }
-    debug_assert!(!g.is_zero(), "a positive denominator keeps the row gcd positive");
-    let divisor = Integer::from(g.clone());
-    match row {
-        GenRow::Dense(v) => {
-            for value in v.iter_mut() {
-                if !value.is_zero() {
-                    let taken = core::mem::take(value);
-                    *value = taken.exact_div(&divisor);
-                }
-            }
-        }
-        GenRow::Sparse(s) => {
-            for (_, value) in s.entries.iter_mut() {
-                let taken = core::mem::take(value);
-                *value = taken.exact_div(&divisor);
-            }
-        }
-    }
-    *rhs = rhs.exact_div(&divisor);
-    *den = &*den / &g;
 }
 
 #[cfg(test)]
@@ -648,127 +564,5 @@ mod tests {
         let big = 1i64 << 40;
         let a: [&[i64]; 3] = [&[big, -big + 1, 3], &[-big + 3, big, -2], &[1, -2, big]];
         assert_feasible(&a, &[1, 1, 1]);
-    }
-
-    /// `pivot·target − factor·src` (skipping `skip`) on dense integer
-    /// vectors: the reference the elimination step must reproduce.
-    fn eliminate_reference(
-        target: &[i64],
-        pivot: i64,
-        factor: i64,
-        src: &[i64],
-        skip: usize,
-    ) -> Vec<Integer> {
-        target
-            .iter()
-            .zip(src)
-            .enumerate()
-            .map(|(col, (&t, &s))| {
-                let scaled = Integer::from(t) * Integer::from(pivot);
-                if col == skip {
-                    scaled
-                } else {
-                    scaled - Integer::from(factor) * Integer::from(s)
-                }
-            })
-            .collect()
-    }
-
-    #[test]
-    fn elimination_matches_dense_reference_in_every_representation() {
-        let target_vals = [3i64, 0, 5, -1, 0, 2, 0, 0];
-        let src_vals = [7i64, 1, 0, -1, 4, 2, 0, 0];
-        let expect = eliminate_reference(&target_vals, 3, 2, &src_vals, 0);
-        let sparse = |vals: &[i64]| {
-            IntRow::sparse(
-                vals.len(),
-                vals.iter()
-                    .enumerate()
-                    .filter(|(_, &v)| v != 0)
-                    .map(|(i, &v)| (i, Integer::from(v)))
-                    .collect(),
-            )
-        };
-        for target in [IntRow::dense(ints(&target_vals)), sparse(&target_vals)] {
-            for src in [IntRow::dense(ints(&src_vals)), sparse(&src_vals)] {
-                let mut t = target.clone();
-                let mut spare = Vec::new();
-                eliminate_fraction_free(
-                    &mut t,
-                    &Integer::from(3),
-                    &Integer::from(2),
-                    &src,
-                    0,
-                    &mut spare,
-                );
-                assert_eq!(t.to_dense_vec(), expect);
-            }
-        }
-    }
-
-    #[test]
-    fn elimination_densifies_on_fill_in() {
-        let mut target = IntRow::sparse(8, vec![(0, Integer::one())]);
-        let src = IntRow::dense(ints(&[0, 1, 1, 1, 1, 1, 1, 1]));
-        let mut spare = Vec::new();
-        eliminate_fraction_free(
-            &mut target,
-            &Integer::one(),
-            &Integer::one(),
-            &src,
-            usize::MAX,
-            &mut spare,
-        );
-        assert!(matches!(target, GenRow::Dense(_)), "fill-in past half must densify");
-        assert_eq!(target.to_dense_vec(), ints(&[1, -1, -1, -1, -1, -1, -1, -1]));
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
-
-        /// The dense/sparse representation stays canonical through
-        /// elimination: the step densifies past the threshold, and
-        /// `resparsify` (the pivot boundary call) brings receded rows back —
-        /// the ratchet releases. Values match the dense reference throughout.
-        #[test]
-        fn row_representation_stays_canonical_under_elimination(
-            target in proptest::collection::vec(-3i64..=3, 4..12),
-            srcs in proptest::collection::vec(
-                (proptest::collection::vec(-3i64..=3, 4..12), 1i64..=3, -2i64..=2),
-                1..6,
-            ),
-        ) {
-            let dim = target.len();
-            let mut row = IntRow::from_dense_auto(&ints(&target));
-            let mut expect = target.clone();
-            let mut spare = Vec::new();
-            proptest::prop_assert!(row.representation_is_canonical());
-            for (src, pivot, factor) in srcs {
-                let mut padded = src;
-                padded.resize(dim, 0);
-                let src_row = IntRow::from_dense_auto(&ints(&padded));
-                eliminate_fraction_free(
-                    &mut row,
-                    &Integer::from(pivot),
-                    &Integer::from(factor),
-                    &src_row,
-                    usize::MAX,
-                    &mut spare,
-                );
-                row.resparsify();
-                expect = expect
-                    .iter()
-                    .zip(&padded)
-                    .map(|(&t, &s)| t * pivot - factor * s)
-                    .collect();
-                proptest::prop_assert!(
-                    row.representation_is_canonical(),
-                    "non-canonical representation: nnz={} dim={}",
-                    row.nnz(),
-                    row.dim()
-                );
-                proptest::prop_assert_eq!(row.to_dense_vec(), ints(&expect));
-            }
-        }
     }
 }

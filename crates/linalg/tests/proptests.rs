@@ -3,7 +3,7 @@
 //! The central invariants:
 //! * Fourier–Motzkin and the exact simplex agree on feasibility of strict
 //!   homogeneous systems (the shape produced by the paper's Theorem 4.1) and
-//!   of general `A·x ≥ b` systems, including past the machine word;
+//!   of `A·x ≥ b, x ≥ 0` systems, including past the machine word;
 //! * every witness returned actually satisfies the system it was asked about;
 //! * natural witnesses scale correctly from rational ones;
 //! * dense and sparse [`IntRow`] inputs drive the simplex to identical
@@ -12,8 +12,7 @@
 
 use dioph_arith::{Integer, Rational};
 use dioph_linalg::{
-    simplex, Constraint, FeasibilityEngine, FmOutcome, IntRow, LinearSystem, Relation, Row,
-    SimplexOutcome, StrictHomogeneousSystem,
+    fourier_motzkin, simplex, FeasibilityEngine, FmOutcome, IntRow, StrictHomogeneousSystem,
 };
 use proptest::prelude::*;
 
@@ -32,28 +31,28 @@ fn shs_strategy() -> impl Strategy<Value = StrictHomogeneousSystem> {
     })
 }
 
-/// A random general (non-homogeneous) linear system for the FM engine.
-fn linear_system_strategy() -> impl Strategy<Value = LinearSystem> {
+/// A random `A·x ≥ b` system (non-negative unknowns implied) with small
+/// integer coefficients and right-hand sides of either sign.
+fn at_least_strategy() -> impl Strategy<Value = (usize, Vec<IntRow>, Vec<Integer>)> {
     (1usize..4, 1usize..5).prop_flat_map(|(dim, rows)| {
-        let row = (
-            proptest::collection::vec(-4i64..=4, dim),
-            prop_oneof![
-                Just(Relation::Le),
-                Just(Relation::Lt),
-                Just(Relation::Ge),
-                Just(Relation::Gt),
-                Just(Relation::Eq)
-            ],
-            -6i64..=6,
-        );
+        let row = (proptest::collection::vec(-4i64..=4, dim), -6i64..=6);
         proptest::collection::vec(row, rows).prop_map(move |rows| {
-            let mut sys = LinearSystem::new(dim);
-            for (coeffs, rel, rhs) in rows {
-                sys.push(Constraint::from_i64s(&coeffs, rel, rhs));
-            }
-            sys
+            let (a, b): (Vec<IntRow>, Vec<Integer>) = rows
+                .into_iter()
+                .map(|(coeffs, rhs)| {
+                    let coeffs: Vec<Integer> = coeffs.into_iter().map(Integer::from).collect();
+                    (IntRow::from_dense_auto(&coeffs), Integer::from(rhs))
+                })
+                .unzip();
+            (dim, a, b)
         })
     })
+}
+
+/// `true` iff `x ≥ 0` and `A·x ≥ b` row-wise.
+fn satisfies_at_least(a: &[IntRow], b: &[Integer], x: &[Rational]) -> bool {
+    x.iter().all(|v| !v.is_negative())
+        && a.iter().zip(b).all(|(row, b_i)| row.dot(x) >= Rational::from(b_i))
 }
 
 proptest! {
@@ -67,9 +66,8 @@ proptest! {
         let simplex = sys.rational_solution(FeasibilityEngine::Simplex).unwrap();
         let fm = sys.rational_solution(FeasibilityEngine::FourierMotzkin).unwrap();
         prop_assert_eq!(simplex.is_some(), fm.is_some(), "engines disagree on {:?}", sys);
-        let strict = sys.to_linear_system();
         for witness in simplex.iter().chain(&fm) {
-            prop_assert!(strict.is_satisfied_by(witness), "{:?} fails {:?}", witness, sys);
+            prop_assert!(sys.is_satisfied_by(witness), "{:?} fails {:?}", witness, sys);
         }
     }
 
@@ -98,6 +96,40 @@ proptest! {
             sys.is_feasible(FeasibilityEngine::Simplex).unwrap(),
             scaled.is_feasible(FeasibilityEngine::Simplex).unwrap()
         );
+    }
+
+    /// Fourier–Motzkin keeps every row primitive, which is sound because a
+    /// positive row scale never moves a back-substitution bound: scaling
+    /// each row (and its right-hand side) by its own positive factor must
+    /// leave the witness bit-identical, on both accepted shapes.
+    #[test]
+    fn fm_witnesses_are_invariant_under_positive_row_scaling(
+        (dim, a, b) in at_least_strategy(),
+        scales in proptest::collection::vec(1i64..8, 5),
+    ) {
+        let scale = |i: usize| Integer::from(scales[i % scales.len()]);
+        let scaled_rows: Vec<IntRow> = a
+            .iter()
+            .enumerate()
+            .map(|(i, row)| {
+                IntRow::from_dense_auto(
+                    &row.to_dense_vec().iter().map(|c| c * &scale(i)).collect::<Vec<_>>(),
+                )
+            })
+            .collect();
+        let scaled_b: Vec<Integer> = b.iter().enumerate().map(|(i, b_i)| b_i * &scale(i)).collect();
+        prop_assert_eq!(
+            fourier_motzkin::feasible_point(dim, &a, &b),
+            fourier_motzkin::feasible_point(dim, &scaled_rows, &scaled_b)
+        );
+        let strict = |rows: &[IntRow]| {
+            let mut sys = StrictHomogeneousSystem::new(dim);
+            for row in rows {
+                sys.push_row(row.to_dense_vec());
+            }
+            sys.rational_solution(FeasibilityEngine::FourierMotzkin).unwrap()
+        };
+        prop_assert_eq!(strict(&a), strict(&scaled_rows));
     }
 
     /// Adding a row can only shrink the feasible set.
@@ -138,43 +170,6 @@ proptest! {
         );
     }
 
-    /// Row combination (the FM kernel) matches its dense reference for any
-    /// mix of representations.
-    #[test]
-    fn row_linear_combination_matches_dense_reference(
-        a in proptest::collection::vec(-5i64..=5, 1..8),
-        b_mask in proptest::collection::vec(-5i64..=5, 1..8),
-        ca in -4i64..=4, cb in -4i64..=4,
-    ) {
-        let dim = a.len().min(b_mask.len());
-        let a = &a[..dim];
-        let b = &b_mask[..dim];
-        let expect: Vec<Rational> = (0..dim)
-            .map(|i| {
-                &(&Rational::from(ca) * &Rational::from(a[i]))
-                    + &(&Rational::from(cb) * &Rational::from(b[i]))
-            })
-            .collect();
-        let dense = |vals: &[i64]| Row::dense(vals.iter().map(|&v| Rational::from(v)).collect());
-        let sparse = |vals: &[i64]| {
-            Row::sparse(
-                vals.len(),
-                vals.iter()
-                    .enumerate()
-                    .filter(|(_, &v)| v != 0)
-                    .map(|(i, &v)| (i, Rational::from(v)))
-                    .collect(),
-            )
-        };
-        for ra in [dense(a), sparse(a)] {
-            for rb in [dense(b), sparse(b)] {
-                let combined =
-                    Row::linear_combination(&Rational::from(ca), &ra, &Rational::from(cb), &rb);
-                prop_assert_eq!(combined.to_dense_vec(), expect.clone());
-            }
-        }
-    }
-
     /// Past the machine word: coefficients near 2^40 force cross-multiplied
     /// pivot values past 2^80, so the hybrid Integer must promote (and the
     /// gcd normalisation must not lose exactness on the way back down). Run
@@ -195,38 +190,43 @@ proptest! {
             .collect();
         let int_rows: Vec<IntRow> = scaled.iter().map(|row| IntRow::from_dense_auto(row)).collect();
         let b_int: Vec<Integer> = b[..rows].iter().map(|&v| Integer::from(v)).collect();
-        let mut system = LinearSystem::new(3);
-        for (row, b_i) in scaled.iter().zip(&b_int) {
-            system.push(Constraint::from_integers(row, Relation::Ge, b_i.clone()));
-        }
-        system.push_nonnegativity();
         let outcome = simplex::feasible_point(3, &int_rows, &b_int).unwrap();
-        let fm = dioph_linalg::fourier_motzkin::solve(&system);
-        prop_assert_eq!(outcome.is_feasible(), matches!(fm, FmOutcome::Feasible(_)));
-        if let SimplexOutcome::Feasible(x) = &outcome {
-            prop_assert!(system.is_satisfied_by(x), "{:?} fails {:?}", x, system);
+        let fm = fourier_motzkin::feasible_point(3, &int_rows, &b_int);
+        prop_assert_eq!(outcome.is_feasible(), fm.is_feasible());
+        for x in outcome.witness().into_iter().chain(fm.witness()) {
+            prop_assert!(
+                satisfies_at_least(&int_rows, &b_int, x),
+                "{:?} fails {:?} >= {:?}", x, int_rows, b_int
+            );
         }
     }
 
-    /// FM witnesses for general systems satisfy all constraints.
+    /// FM witnesses for `A·x ≥ b, x ≥ 0` satisfy every constraint, FM and
+    /// the simplex agree on the verdict, and an infeasible verdict survives
+    /// a spot check of small integer points.
     #[test]
-    fn fm_witnesses_satisfy_general_systems(sys in linear_system_strategy()) {
-        match dioph_linalg::fourier_motzkin::solve(&sys) {
-            FmOutcome::Feasible(w) => prop_assert!(sys.is_satisfied_by(&w)),
+    fn fm_witnesses_satisfy_general_systems((dim, a, b) in at_least_strategy()) {
+        let fm = fourier_motzkin::feasible_point(dim, &a, &b);
+        let simplex = simplex::feasible_point(dim, &a, &b).unwrap();
+        prop_assert_eq!(fm.is_feasible(), simplex.is_feasible(), "engines disagree on {:?} >= {:?}", a, b);
+        match fm {
+            FmOutcome::Feasible(w) => prop_assert!(satisfies_at_least(&a, &b, &w)),
             FmOutcome::Infeasible => {
                 // Spot-check: a handful of small integer points must all fail.
-                let dim = sys.dimension();
-                let candidates: Vec<Vec<dioph_arith::Rational>> = (-2i64..=2)
+                let candidates: Vec<Vec<Rational>> = (0i64..=2)
                     .flat_map(|v| {
                         (0..dim).map(move |i| {
-                            let mut p = vec![dioph_arith::Rational::zero(); dim];
-                            p[i] = dioph_arith::Rational::from(v);
+                            let mut p = vec![Rational::zero(); dim];
+                            p[i] = Rational::from(v);
                             p
                         })
                     })
                     .collect();
                 for p in candidates {
-                    prop_assert!(!sys.is_satisfied_by(&p), "FM said infeasible but {:?} satisfies it", p);
+                    prop_assert!(
+                        !satisfies_at_least(&a, &b, &p),
+                        "FM said infeasible but {:?} satisfies it", p
+                    );
                 }
             }
         }

@@ -45,7 +45,7 @@ use dioph_arith::Natural;
 use dioph_bagdb::{bag_answer_multiplicity, BagInstance};
 use dioph_containment::{
     bag_set_containment, json, set_containment, Algorithm, BagContainment, BagContainmentDecider,
-    CompiledPair, ContainmentError, FeasibilityEngine, SetContainment,
+    CompiledPair, FeasibilityEngine, SetContainment,
 };
 use dioph_cq::{parse_program_spanned, parse_query, Atom, ConjunctiveQuery, SpannedQuery, Term};
 use dioph_engine::{DecisionEngine, EngineConfig, JobReader, Verdict};
@@ -704,50 +704,18 @@ fn into_pairs(
 // decide / equiv
 // ---------------------------------------------------------------------------
 
-/// The decision backend `decide`/`equiv` run on: the plain sequential
-/// decider, or the probe-parallel engine when `--jobs` asks for more than
-/// one thread. Verdicts are bit-identical either way; only wall-clock
-/// differs.
-enum DecideBackend {
-    Sequential(BagContainmentDecider),
-    Parallel(DecisionEngine),
-}
-
-impl DecideBackend {
-    fn from_opts(opts: &DecideOpts) -> DecideBackend {
-        if opts.jobs > 1 {
-            DecideBackend::Parallel(DecisionEngine::new(opts.engine_config()))
-        } else {
-            DecideBackend::Sequential(
-                BagContainmentDecider::new(opts.algorithm).with_engine(opts.engine),
-            )
-        }
-    }
-
-    fn decide(
-        &self,
-        containee: &ConjunctiveQuery,
-        containing: &ConjunctiveQuery,
-    ) -> Result<BagContainment, ContainmentError> {
-        match self {
-            DecideBackend::Sequential(decider) => decider.decide(containee, containing),
-            DecideBackend::Parallel(engine) => engine.decide(containee, containing),
-        }
-    }
-}
-
 /// Decides one direction under the selected semantics; returns the verdict
 /// and its rendering in the requested output mode only (no point formatting
 /// JSON for a human run, or vice versa).
 fn decide_direction(
     opts: &DecideOpts,
-    backend: &DecideBackend,
+    engine: &DecisionEngine,
     containee: &ConjunctiveQuery,
     containing: &ConjunctiveQuery,
 ) -> Result<(bool, String), CliError> {
     match opts.semantics {
         Semantics::Bag => {
-            let result = backend.decide(containee, containing).map_err(|e| {
+            let result = engine.decide(containee, containing).map_err(|e| {
                 CliError::Failure(format!(
                     "cannot decide {} {} {}: {e}",
                     containee.name(),
@@ -843,14 +811,16 @@ fn cmd_decide(args: &[String], stdin: &mut dyn Read, mutual: bool) -> CliResult 
         precheck_containees(&sources, &spanned, mutual, opts.semantics.symbol())?;
     }
     let pairs = into_pairs(spanned.into_iter().map(|(_, q)| q.query).collect())?;
-    let backend = DecideBackend::from_opts(&opts);
+    // One engine for every --jobs value: it runs the sequential decider
+    // itself at jobs <= 1 and for the single-probe most-general algorithm.
+    let engine = DecisionEngine::new(opts.engine_config());
     let mut human = String::new();
     let mut json_pairs: Vec<String> = Vec::new();
     for (i, (containee, containing)) in pairs.iter().enumerate() {
         let index = i + 1;
-        let forward = decide_direction(&opts, &backend, containee, containing)?;
+        let forward = decide_direction(&opts, &engine, containee, containing)?;
         if mutual {
-            let backward = decide_direction(&opts, &backend, containing, containee)?;
+            let backward = decide_direction(&opts, &engine, containing, containee)?;
             let equivalent = forward.0 && backward.0;
             if opts.json {
                 json_pairs.push(format!(
@@ -936,19 +906,33 @@ fn cmd_decide(args: &[String], stdin: &mut dyn Read, mutual: bool) -> CliResult 
 // ---------------------------------------------------------------------------
 
 /// Concatenates several owned readers into one (std's `Read::chain` nests
-/// types, which does not scale to a runtime file list).
+/// types, which does not scale to a runtime file list). The end of a source
+/// ends its last line: a source whose bytes do not end in a newline gets one
+/// before the next source starts, so a trailing `%`/`#` comment cannot
+/// swallow the next file's first line.
 struct MultiReader {
     sources: std::collections::VecDeque<Box<dyn Read + Send>>,
+    /// Whether the bytes handed out so far stop in the middle of a line.
+    mid_line: bool,
 }
 
 impl Read for MultiReader {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if buf.is_empty() {
+            return Ok(0);
+        }
         while let Some(front) = self.sources.front_mut() {
             let n = front.read(buf)?;
             if n > 0 {
+                self.mid_line = buf[n - 1] != b'\n';
                 return Ok(n);
             }
             self.sources.pop_front();
+            if self.mid_line {
+                self.mid_line = false;
+                buf[0] = b'\n';
+                return Ok(1);
+            }
         }
         Ok(0)
     }
@@ -1012,7 +996,7 @@ fn cmd_batch(
                 std::fs::File::open(file).map_err(|e| CliError::Failure(format!("{file}: {e}")))?;
             sources.push_back(Box::new(handle));
         }
-        Box::new(MultiReader { sources })
+        Box::new(MultiReader { sources, mid_line: false })
     };
 
     let engine = DecisionEngine::new(opts.engine_config());
@@ -2019,9 +2003,63 @@ fn format_ns(ns: u128) -> String {
     }
 }
 
+/// Fast-path tallies of the hybrid numeric tower accumulated over `bench`'s
+/// timed repeat loops (one registry delta per loop, the same deltas
+/// [`AllocTally`] reads), rendered as the `arith_small_path` and
+/// `arith_int_path` blocks of `bench --json`.
+#[derive(Default)]
+struct ArithTally {
+    /// Rational operations served by the machine-word fast path.
+    small_hits: u64,
+    /// Rational operations that fell back to the limb representation.
+    big_fallbacks: u64,
+    /// Integer kernel operations (exact division, gcd) served by the
+    /// machine-word fast path.
+    int_small_hits: u64,
+    /// Integer kernel operations that fell back to the limb representation.
+    int_big_fallbacks: u64,
+}
+
+impl ArithTally {
+    fn absorb(&mut self, delta: &dioph_obs::MetricsSnapshot) {
+        let get = |name: &str| delta.get(name).unwrap_or(0);
+        self.small_hits = self.small_hits.saturating_add(get("arith.small_hits"));
+        self.big_fallbacks = self.big_fallbacks.saturating_add(get("arith.big_fallbacks"));
+        self.int_small_hits = self.int_small_hits.saturating_add(get("arith.int_small_hits"));
+        self.int_big_fallbacks =
+            self.int_big_fallbacks.saturating_add(get("arith.int_big_fallbacks"));
+    }
+
+    /// Total rational operations. Saturating: the counters are
+    /// process-cumulative, and a wrapped total in a long-lived process would
+    /// turn the hit rate into garbage.
+    fn total(&self) -> u64 {
+        self.small_hits.saturating_add(self.big_fallbacks)
+    }
+
+    /// Total integer kernel operations (saturating, like [`Self::total`]).
+    fn int_total(&self) -> u64 {
+        self.int_small_hits.saturating_add(self.int_big_fallbacks)
+    }
+
+    /// Fraction of rational operations on the fast path (`None` when none
+    /// were recorded).
+    fn hit_rate(&self) -> Option<f64> {
+        let total = self.total();
+        (total > 0).then(|| self.small_hits as f64 / total as f64)
+    }
+
+    /// Fraction of integer kernel operations on the fast path (`None` when
+    /// none were recorded).
+    fn int_hit_rate(&self) -> Option<f64> {
+        let total = self.int_total();
+        (total > 0).then(|| self.int_small_hits as f64 / total as f64)
+    }
+}
+
 /// Allocation-discipline tallies accumulated over `bench`'s timed repeat
-/// loops (one registry delta per loop, mirroring the arith fast-path
-/// snapshots), rendered as the `"alloc"` block of `bench --json`.
+/// loops (one registry delta per loop, like [`ArithTally`]), rendered as the
+/// `"alloc"` block of `bench --json`.
 #[derive(Default)]
 struct AllocTally {
     /// Heap allocations observed by the counting allocator (zero outside
@@ -2086,7 +2124,7 @@ fn cmd_bench(args: &[String], stdin: &mut dyn Read) -> CliResult {
     // at the end — so the numbers cover exactly the runs the latencies
     // cover: compilation arithmetic and earlier in-process benches are
     // excluded instead of silently folded in.
-    let mut arith = dioph_arith::stats::Snapshot::default();
+    let mut arith = ArithTally::default();
     // Same discipline for the allocation counters: per-loop registry deltas,
     // so the per-probe figure covers exactly the timed decisions.
     let mut alloc = AllocTally::default();
@@ -2107,7 +2145,6 @@ fn cmd_bench(args: &[String], stdin: &mut dyn Read) -> CliResult {
             .map_err(|e| cannot_decide(&e))?;
         let mut durations_ns: Vec<u128> = Vec::with_capacity(opts.repeat);
         let mut verdict: Option<BagContainment> = None;
-        let run_before = dioph_arith::stats::snapshot();
         let reg_before = dioph_obs::snapshot();
         for _ in 0..opts.repeat {
             let start = Instant::now();
@@ -2115,14 +2152,9 @@ fn cmd_bench(args: &[String], stdin: &mut dyn Read) -> CliResult {
             durations_ns.push(start.elapsed().as_nanos());
             verdict.get_or_insert(result);
         }
-        let run_delta = dioph_arith::stats::snapshot().since(&run_before);
-        alloc.absorb(&dioph_obs::snapshot().since(&reg_before));
-        arith = dioph_arith::stats::Snapshot {
-            small_hits: arith.small_hits.saturating_add(run_delta.small_hits),
-            big_fallbacks: arith.big_fallbacks.saturating_add(run_delta.big_fallbacks),
-            int_small_hits: arith.int_small_hits.saturating_add(run_delta.int_small_hits),
-            int_big_fallbacks: arith.int_big_fallbacks.saturating_add(run_delta.int_big_fallbacks),
-        };
+        let run_delta = dioph_obs::snapshot().since(&reg_before);
+        arith.absorb(&run_delta);
+        alloc.absorb(&run_delta);
         let verdict = verdict.expect("repeat >= 1 guarantees at least one run");
         let min = *durations_ns.iter().min().expect("at least one run");
         let max = *durations_ns.iter().max().expect("at least one run");
@@ -2426,6 +2458,27 @@ mod tests {
             .and_then(|n| n.parse().ok())
             .expect("small_hits must be a JSON number");
         assert!(hits > 0, "{out}");
+    }
+
+    #[test]
+    fn totals_saturate_instead_of_wrapping() {
+        // Counter-overflow edge case: tallies whose parts sum past u64::MAX
+        // must clamp, not wrap to a tiny total (which would report a
+        // nonsense hit rate).
+        let tally = ArithTally {
+            small_hits: u64::MAX - 1,
+            big_fallbacks: 2,
+            int_small_hits: u64::MAX,
+            int_big_fallbacks: u64::MAX,
+        };
+        assert_eq!(tally.total(), u64::MAX);
+        assert_eq!(tally.int_total(), u64::MAX);
+        let rate = tally.hit_rate().expect("non-zero total");
+        assert!((0.0..=1.0).contains(&rate), "{rate}");
+        let rate = tally.int_hit_rate().expect("non-zero total");
+        assert!((0.0..=1.0).contains(&rate), "{rate}");
+        assert_eq!(ArithTally::default().hit_rate(), None);
+        assert_eq!(ArithTally::default().int_hit_rate(), None);
     }
 
     #[test]

@@ -492,6 +492,30 @@ fn batch_reports_invalid_utf8_input_as_a_read_failure_not_clean_eof() {
 }
 
 #[test]
+fn batch_files_ending_in_a_comment_without_newline_keep_every_pair() {
+    // The end of a file ends its last line: a trailing `%` comment with no
+    // newline must not swallow the next file's first pair. `batch` must
+    // report both pairs, exactly like `decide` on the same files.
+    let dir =
+        std::env::temp_dir().join(format!("dioph-cli-test-eof-comment-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let a = dir.join("a.dl");
+    let b = dir.join("b.dl");
+    std::fs::write(&a, "q(x) <- R(x,x). p(x) <- R(x,x). % note").unwrap();
+    std::fs::write(&b, "q2(x) <- R(x,x). p2(x) <- S(x,x).\n").unwrap();
+    let (a, b) = (a.to_str().unwrap(), b.to_str().unwrap());
+
+    let decided = stdout_of(&["decide", a, b], "");
+    assert_eq!(decided.lines().filter(|l| l.starts_with('[')).count(), 2, "{decided}");
+    let out = run(&["batch", a, b], "");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("[1] q ⊑b p: contained"), "{stdout}");
+    assert!(stdout.contains("[2] q2 ⊑b p2: not contained"), "{stdout}");
+    assert_eq!(stdout.lines().filter(|l| l.starts_with('[')).count(), 2, "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn verify_recheck_of_a_json_counterexample_file_round_trips() {
     let dir = std::env::temp_dir().join("dioph-cli-test-verify");
     std::fs::create_dir_all(&dir).unwrap();
