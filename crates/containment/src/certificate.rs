@@ -179,6 +179,18 @@ pub enum ContainmentError {
         /// The budget that was exhausted.
         iterations: usize,
     },
+    /// The containee's probe space has more candidate tuples than a `usize`
+    /// can index, so the all-probes and guess-and-check sweeps cannot run.
+    /// Reported before the pair is scheduled, so `--keep-going` streams
+    /// answer it as a per-pair `decide` error and continue.
+    ProbeSpaceOverflow {
+        /// Name of the containee.
+        query: String,
+        /// Size of its canonical active domain.
+        domain: usize,
+        /// Its arity (the probe tuples' length).
+        arity: usize,
+    },
 }
 
 impl ContainmentError {
@@ -197,9 +209,9 @@ impl ContainmentError {
             ContainmentError::UnsafeQuery { .. } => Some("D001"),
             ContainmentError::ContaineeNotProjectionFree { .. } => Some("D002"),
             ContainmentError::EmptyBody { .. } => Some("D003"),
-            ContainmentError::BudgetExceeded { .. } | ContainmentError::IterationBudget { .. } => {
-                None
-            }
+            ContainmentError::BudgetExceeded { .. }
+            | ContainmentError::IterationBudget { .. }
+            | ContainmentError::ProbeSpaceOverflow { .. } => None,
         }
     }
 }
@@ -236,6 +248,11 @@ impl fmt::Display for ContainmentError {
             ContainmentError::IterationBudget { iterations } => {
                 write!(f, "the LP engine exceeded its iteration budget of {iterations}")
             }
+            ContainmentError::ProbeSpaceOverflow { query, domain, arity } => write!(
+                f,
+                "the probe space of {query} has {domain}^{arity} candidate tuples, \
+                 too many to index"
+            ),
         }
     }
 }

@@ -16,20 +16,38 @@
 //!
 //! Corollary 3.1 / Theorem 5.3 then reduce the containment question to the
 //! (un)solvability of `P(u) < M(u)` over the naturals.
+//!
+//! ## One kernel
+//!
+//! Every probe — the most-general one, each index of the all-probes sweep,
+//! each guess-and-check probe — is compiled by the same kernel. A
+//! `CompilePlan`, built once per pair, interns relation names and the
+//! sorted probe domain to integer ids, keeps the containee's body as
+//! head-position arguments and the containing query as slot/id patterns.
+//! Per probe, the kernel decodes the tuple, grounds and sorts the facts
+//! (merging the ones that ground equal, Equation 1), searches the
+//! containment mappings with the matched fact recorded at each depth, and
+//! accumulates each mapping's image exponents into the distinct polynomial
+//! terms — all in a [`ProbeScratch`], so a warmed scratch compiles a probe
+//! without heap allocation. Ids are assigned in term and relation-name
+//! order, so the sorted facts are exactly the grounded containee's body
+//! order and the unknown vector matches [`CompiledProbe::atoms`].
+//!
+//! A [`CompiledProbe`] is the kernel's output plus the materialised
+//! grounded containee; the decide loops only build one for the probe whose
+//! witness becomes the certificate.
 
 use std::sync::OnceLock;
 
 use dioph_arith::Natural;
 use dioph_bagdb::{bag_answer_multiplicity, BagInstance};
-use dioph_cq::{
-    for_each_containment_mapping_to_grounded, most_general_probe_tuple, Atom, ConjunctiveQuery,
-    MappingBindings, ProbeSpace, Term,
-};
-use dioph_poly::{Monomial, Mpi, Polynomial};
+use dioph_cq::{most_general_probe_tuple, Atom, ConjunctiveQuery, ProbeSpace, Term};
+use dioph_poly::Mpi;
 
 use crate::certificate::{ContainmentError, Counterexample};
+use crate::scratch::{CompileScratch, Fact, MpiTerms, ProbeScratch};
 
-/// A bag-containment instance compiled to an MPI for one probe tuple.
+/// A compiled probe: the grounded containee `q1(t)` and its MPI.
 ///
 /// The probe tuple and the unknown vector are not stored separately: the
 /// probe is the grounded containee's head, and unknown `u_j` is the `j`-th
@@ -59,60 +77,34 @@ impl CompiledProbe {
         CompiledProbe::compile_owned(containee, containing, probe.to_vec())
     }
 
-    /// [`Self::compile`] taking ownership of the probe tuple, so callers that
-    /// materialise the tuple anyway (the probe-space resolution of
-    /// [`CompiledPair::probe`]) hand it over instead of copying it again.
+    /// [`Self::compile`] taking ownership of the probe tuple, which becomes
+    /// the grounded containee's head.
     pub fn compile_owned(
         containee: &ConjunctiveQuery,
         containing: &ConjunctiveQuery,
         probe: Vec<Term>,
     ) -> Option<CompiledProbe> {
-        // Memoised slots reach this function only on their first fill, so the
-        // counter reads as "cold compilations".
-        dioph_obs::registry::CACHE_PROBE_COMPILED.incr();
-        let _compile_span = dioph_obs::span(dioph_obs::Phase::Compile);
-        let grounded = containee.ground_with_tuple(probe)?;
-        // Unknowns: the distinct atoms of body(q1(t)), in deterministic order.
-        // They are borrowed straight from the grounded query rather than
-        // cloned into a side vector; the grounded containee is kept alive in
-        // the compiled probe as the single owner of both the probe tuple (its
-        // head) and the unknown vector (its distinct body atoms).
-        let n = grounded.distinct_atom_count();
+        // The probe may carry terms outside the containee's active domain;
+        // interning them too keeps every id in term order.
+        let plan = CompilePlan::new(containee, containing, &probe);
+        let mut scratch = ProbeScratch::new();
+        let compiled = plan.compile_tuple(containee, probe, &mut scratch);
+        scratch.flush_counters();
+        compiled
+    }
 
-        // Monomial side: exponents are the body multiplicities of q1(t), in
-        // the same deterministic (sorted) order as the unknowns.
-        let mut mono_exponents = vec![0u64; n];
-        for (j, (_atom, mult)) in grounded.body().enumerate() {
-            mono_exponents[j] = mult;
-        }
-        let monomial = Monomial::new(mono_exponents);
-
-        // Polynomial side: one monomial per containment mapping h ∈ CM(q2, q1(t)).
-        // The visitor enumeration never materialises a substitution or the
-        // image query h(q2): each image atom is matched term-wise against the
-        // unknown vector, and multiplicities of atoms that collapse under h
-        // accumulate directly into the reused exponent buffer (Equation 1).
-        let mut polynomial = Polynomial::zero(n);
-        let mut mapping_count = 0usize;
-        let mut exponents = vec![0u64; n];
-        for_each_containment_mapping_to_grounded(containing, &grounded, |h| {
-            mapping_count += 1;
-            exponents.iter_mut().for_each(|e| *e = 0);
-            for (atom, mult) in containing.body() {
-                let j = grounded.body_atoms().position(|cand| image_matches(cand, atom, h)).expect(
-                    "the image of a containment mapping lies inside the canonical instance",
-                );
-                exponents[j] += mult;
-            }
-            polynomial.add_monomial(Monomial::from_slice(&exponents));
-        });
-        dioph_obs::registry::CONTAINMENT_MAPPINGS.add(mapping_count as u64);
-
-        Some(CompiledProbe {
+    /// The grounded containee `q(t)` around the MPI the kernel left in
+    /// `out`.
+    fn materialise(containee: &ConjunctiveQuery, probe: Vec<Term>, out: &MpiTerms) -> Self {
+        let grounded = containee
+            .ground_with_tuple(probe)
+            .expect("the kernel only compiles tuples unifiable with the head");
+        debug_assert_eq!(grounded.distinct_atom_count(), out.dimension());
+        CompiledProbe {
             grounded_containee: grounded,
-            mpi: Mpi::new(polynomial, monomial),
-            mapping_count,
-        })
+            mpi: out.to_mpi(),
+            mapping_count: out.mapping_count,
+        }
     }
 
     /// The probe tuple: the head of the grounded containee.
@@ -163,32 +155,36 @@ impl CompiledProbe {
     }
 }
 
-/// A whole containment pair compiled once and shared **read-only** across
-/// probes, worker threads and repeated decisions.
+/// A whole containment pair, validated once and shared **read-only**
+/// across probes, worker threads and repeated decisions.
 ///
-/// This is the compilation cache behind `dioph-engine`: validation of the
-/// containee happens exactly once (in [`CompiledPair::new`]), and every
-/// per-probe compilation — the containment-mapping enumeration plus the MPI
-/// assembly of [`CompiledProbe::compile`] — is memoised in a
-/// [`OnceLock`] slot keyed by the probe's raw index in the pair's
-/// [`ProbeSpace`]. All state is immutable after initialisation, so a
-/// `CompiledPair` is `Send + Sync` and can sit behind an `Arc` (or a scoped
-/// borrow) while any number of threads resolve disjoint — or even
-/// overlapping — probe indices concurrently; a probe raced by two threads is
-/// still compiled only once.
+/// The pair holds its compile plan (built on first use) and the compiled
+/// most-general probe (Theorem 5.3), which is memoised: the default route
+/// compiles one MPI per pair, and a pair decided again (a `bench --repeat`
+/// loop, a batch stream replaying a pair, the two directions of an
+/// equivalence check each hitting their own pair) reuses it. The
+/// all-probes and guess-and-check routes compile every probe afresh in the
+/// deciding worker's [`ProbeScratch`]
+/// ([`BagContainmentDecider::decide_index_in`]), so nothing is kept per
+/// probe and memory does not grow with the probe space. [`Self::probe`]
+/// still memoises per raw index for callers that want the probes as
+/// values; its slots are only allocated if it is called.
 ///
-/// Deciding the same pair again (a `bench --repeat` loop, a batch stream
-/// replaying a pair, the two directions of an equivalence check each hitting
-/// their own pair) reuses every compiled MPI instead of re-enumerating the
-/// containment mappings.
+/// All state is immutable after initialisation, so a `CompiledPair` is
+/// `Send + Sync` and can sit behind an `Arc` (or a scoped borrow) while any
+/// number of threads resolve probe indices concurrently.
+///
+/// [`BagContainmentDecider::decide_index_in`]: crate::BagContainmentDecider::decide_index_in
 #[derive(Debug)]
 pub struct CompiledPair {
     containee: ConjunctiveQuery,
     containing: ConjunctiveQuery,
+    plan: OnceLock<CompilePlan>,
     most_general: OnceLock<CompiledProbe>,
     space: OnceLock<ProbeSpace>,
-    /// One memoisation slot per raw probe index; `None` marks an index whose
-    /// candidate tuple is not unifiable with the head (not a probe tuple).
+    /// One memoisation slot per raw probe index, for [`Self::probe`] only;
+    /// `None` marks an index whose candidate tuple is not unifiable with the
+    /// head (not a probe tuple).
     slots: OnceLock<Vec<OnceLock<Option<CompiledProbe>>>>,
 }
 
@@ -208,6 +204,7 @@ impl CompiledPair {
         Ok(CompiledPair {
             containee,
             containing,
+            plan: OnceLock::new(),
             most_general: OnceLock::new(),
             space: OnceLock::new(),
             slots: OnceLock::new(),
@@ -224,48 +221,133 @@ impl CompiledPair {
         &self.containing
     }
 
+    fn plan(&self) -> &CompilePlan {
+        self.plan.get_or_init(|| CompilePlan::new(&self.containee, &self.containing, &[]))
+    }
+
     /// The compiled most-general probe (Theorem 5.3), compiled on first use.
     pub fn most_general(&self) -> &CompiledProbe {
+        self.most_general_in(&mut ProbeScratch::new())
+    }
+
+    /// [`Self::most_general`], compiling on first use through `scratch`
+    /// (the deciding worker's), so a warmed scratch compiles it without
+    /// growing buffers.
+    pub fn most_general_in(&self, scratch: &mut ProbeScratch) -> &CompiledProbe {
         self.most_general.get_or_init(|| {
             let probe = most_general_probe_tuple(&self.containee);
-            CompiledProbe::compile_owned(&self.containee, &self.containing, probe)
-                .expect("the most-general probe tuple always unifies with the head")
+            // The most-general route needs the plan for this one compilation
+            // only, so a pair that has not built it for a probe sweep does
+            // not keep it.
+            let transient;
+            let plan = match self.plan.get() {
+                Some(plan) => plan,
+                None => {
+                    transient = CompilePlan::new(&self.containee, &self.containing, &[]);
+                    &transient
+                }
+            };
+            let compiled = plan
+                .compile_tuple(&self.containee, probe, scratch)
+                .expect("the most-general probe tuple always unifies with the head");
+            scratch.flush_counters();
+            compiled
         })
     }
 
     /// The indexed probe space of the containee, computed on first use.
+    ///
+    /// # Panics
+    /// As [`ProbeSpace::new`]; [`Self::probe_count`] reports the size
+    /// overflow as an error instead.
     pub fn probe_space(&self) -> &ProbeSpace {
         self.space.get_or_init(|| ProbeSpace::new(&self.containee))
     }
 
+    /// The number of candidate probe tuples, `|adom(I_q1)|^{arity}` (the raw
+    /// length of [`Self::probe_space`]): raw indices `0..probe_count()` are
+    /// the values [`Self::probe`] and
+    /// [`BagContainmentDecider::decide_index_in`] accept.
+    ///
+    /// # Errors
+    /// [`ContainmentError::ProbeSpaceOverflow`] when the count does not fit
+    /// in `usize`: such a space can never be swept, so the all-probes and
+    /// guess-and-check routes reject the pair up front.
+    ///
+    /// [`BagContainmentDecider::decide_index_in`]: crate::BagContainmentDecider::decide_index_in
+    pub fn probe_count(&self) -> Result<usize, ContainmentError> {
+        let plan = self.plan();
+        plan.raw_len.ok_or_else(|| ContainmentError::ProbeSpaceOverflow {
+            query: self.containee.name().to_string(),
+            domain: plan.domain.len(),
+            arity: self.containee.arity(),
+        })
+    }
+
     /// The number of claimable probe units this pair exposes to a scheduler:
-    /// the raw probe-space length, floored at one so a degenerate (empty)
-    /// probe space still publishes a single no-op unit whose retirement
-    /// finalizes the pair. Indices `0..probe_units()` are exactly the values
-    /// [`Self::probe`] accepts, except in the degenerate case, which a
-    /// claimer must guard with [`ProbeSpace::raw_len`].
-    pub fn probe_units(&self) -> usize {
-        self.probe_space().raw_len().max(1)
+    /// [`Self::probe_count`], floored at one so a degenerate (empty) probe
+    /// space still publishes a single no-op unit whose retirement finalizes
+    /// the pair (deciding that unit finds no probe tuple).
+    ///
+    /// # Errors
+    /// As [`Self::probe_count`].
+    pub fn probe_units(&self) -> Result<usize, ContainmentError> {
+        Ok(self.probe_count()?.max(1))
     }
 
     /// Resolves (and memoises) the compilation of the probe with raw index
     /// `index` in [`Self::probe_space`]; `None` when that index is not a
-    /// probe tuple. Safe to call from many threads at once.
+    /// probe tuple. Safe to call from many threads at once. The decide
+    /// loops do not use it (see the type docs); the first call allocates one
+    /// slot per raw index.
     ///
     /// # Panics
     /// Panics if `index` is out of range for the probe space.
     pub fn probe(&self, index: usize) -> Option<&CompiledProbe> {
-        let space = self.probe_space();
-        let slots =
-            self.slots.get_or_init(|| (0..space.raw_len()).map(|_| OnceLock::new()).collect());
-        slots[index]
-            .get_or_init(|| {
-                space.tuple(index).map(|probe| {
-                    CompiledProbe::compile_owned(&self.containee, &self.containing, probe)
-                        .expect("probe tuples are unifiable with the head by construction")
-                })
-            })
-            .as_ref()
+        let len = self.probe_space().raw_len();
+        let slots = self.slots.get_or_init(|| (0..len).map(|_| OnceLock::new()).collect());
+        slots[index].get_or_init(|| self.compile_probe(index)).as_ref()
+    }
+
+    /// Compiles the probe with raw index `index` into a fresh
+    /// [`CompiledProbe`], without memoising it; `None` when that index is
+    /// not a probe tuple. The decide loops call it once per pair, for the
+    /// probe whose witness becomes the certificate.
+    ///
+    /// # Panics
+    /// Panics if `index` is not below [`Self::probe_count`].
+    pub fn compile_probe(&self, index: usize) -> Option<CompiledProbe> {
+        let plan = self.plan();
+        assert!(
+            plan.raw_len.is_some_and(|len| index < len),
+            "probe index {index} out of range {:?}",
+            plan.raw_len
+        );
+        let mut scratch = ProbeScratch::new();
+        let compiled = self.compile_index_in(index, &mut scratch);
+        scratch.flush_counters();
+        compiled.then(|| {
+            let probe = scratch.compile.tuple.iter().map(|&t| plan.domain[t as usize].clone());
+            CompiledProbe::materialise(&self.containee, probe.collect(), &scratch.compile.out)
+        })
+    }
+
+    /// The kernel entry point of the decide loops: compiles the probe with
+    /// raw index `index` into `scratch` (its MPI is left in the scratch's
+    /// compile output). Returns `false` — compiling nothing — when the index
+    /// is not a probe tuple, including every index past
+    /// [`Self::probe_count`] (the degenerate no-op unit).
+    pub(crate) fn compile_index_in(&self, index: usize, scratch: &mut ProbeScratch) -> bool {
+        let plan = self.plan();
+        if plan.raw_len.is_none_or(|len| index >= len) {
+            return false;
+        }
+        plan.decode(index, &mut scratch.compile.tuple);
+        let compiled = plan.compile(&mut scratch.compile);
+        if compiled {
+            scratch.note_compiled(scratch.compile.out.mapping_count);
+        }
+        compiled
     }
 
     /// Builds (and soundness-checks) the counterexample bag for a probe of
@@ -293,17 +375,422 @@ impl CompiledPair {
     }
 }
 
-/// Does `candidate` equal the image `h(atom)`? Decided term-wise against the
-/// mapping's bindings, so the image atom is never materialised.
-fn image_matches(candidate: &Atom, atom: &Atom, h: &MappingBindings<'_>) -> bool {
-    candidate.relation() == atom.relation()
-        && candidate.arity() == atom.arity()
-        && atom.terms().iter().zip(candidate.terms()).all(|(pattern, target)| {
-            match pattern.as_var() {
-                Some(v) => h.image_of(v) == Some(target),
-                None => pattern == target,
+/// A term id no fact carries: a containing-query constant outside the
+/// containee's domain.
+const ABSENT: u32 = u32::MAX;
+
+/// The image of a containing-query variable slot not bound yet.
+const UNBOUND: u32 = u32::MAX;
+
+/// An argument of a containee atom: grounded by the probe component at a
+/// head position, or an interned constant.
+#[derive(Clone, Copy, Debug)]
+enum Ground {
+    Head(u32),
+    Term(u32),
+}
+
+/// An argument of a containing-query atom: a variable slot, or an interned
+/// constant ([`ABSENT`] when the containee's domain lacks it).
+#[derive(Clone, Copy, Debug)]
+enum Pattern {
+    Slot(u32),
+    Term(u32),
+}
+
+/// A body atom over interned relation ids; its arguments are the
+/// `start..start + len` slice of the owning [`PlanAtoms`]' argument buffer.
+#[derive(Clone, Copy, Debug)]
+struct PlanAtom {
+    relation: u32,
+    start: u32,
+    len: u32,
+    multiplicity: u64,
+}
+
+/// A query body over interned ids, its arguments stored flat.
+#[derive(Debug)]
+struct PlanAtoms<A> {
+    atoms: Vec<PlanAtom>,
+    args: Vec<A>,
+}
+
+impl<A> PlanAtoms<A> {
+    /// Interns the distinct body atoms of `query`, in body order.
+    fn new<'q>(
+        query: &'q ConjunctiveQuery,
+        relation: impl Fn(&str) -> u32,
+        mut arg: impl FnMut(&'q Term) -> A,
+    ) -> Self {
+        let mut args = Vec::with_capacity(query.body_atoms().map(Atom::arity).sum());
+        let atoms = query
+            .body()
+            .map(|(atom, multiplicity)| {
+                let start = args.len() as u32;
+                args.extend(atom.terms().iter().map(&mut arg));
+                PlanAtom {
+                    relation: relation(atom.relation()),
+                    start,
+                    len: atom.arity() as u32,
+                    multiplicity,
+                }
+            })
+            .collect();
+        PlanAtoms { atoms, args }
+    }
+
+    fn args(&self, atom: &PlanAtom) -> &[A] {
+        &self.args[atom.start as usize..(atom.start + atom.len) as usize]
+    }
+}
+
+/// Everything about a pair the per-probe kernel needs, interned once.
+#[derive(Debug)]
+struct CompilePlan {
+    /// The sorted probe domain (the containee's canonical active domain,
+    /// plus the terms of an explicitly given probe); a term's id is its
+    /// index, so ids compare like terms.
+    domain: Vec<Term>,
+    /// `|domain|^{arity}` candidate tuples, `None` when that overflows.
+    raw_len: Option<usize>,
+    /// Per containee head position: `Head(p)`, the first position carrying
+    /// the same variable (a probe must repeat its component), or the head
+    /// constant a probe must equal.
+    head: Vec<Ground>,
+    /// The containee's distinct body atoms.
+    body: PlanAtoms<Ground>,
+    /// The containing query's head patterns; `None` when its arity differs
+    /// from the containee's (no containment mapping exists then).
+    containing_head: Option<Vec<Pattern>>,
+    /// The containing query's distinct body atoms.
+    containing: PlanAtoms<Pattern>,
+    /// Distinct variables of the containing query.
+    slots: usize,
+}
+
+impl CompilePlan {
+    /// Interns `containee` and `containing`; `extra` terms join the domain.
+    ///
+    /// # Panics
+    /// Panics if a containee body variable is missing from its head (the
+    /// containee is not projection-free, so its groundings are not ground).
+    fn new(containee: &ConjunctiveQuery, containing: &ConjunctiveQuery, extra: &[Term]) -> Self {
+        let domain = probe_domain(containee, extra);
+        let term = |t: &Term| domain.binary_search(t).map_or(ABSENT, |i| i as u32);
+        // Relation ids in name order, so facts sort like atoms.
+        let mut relations: Vec<&str> =
+            containee.body_atoms().chain(containing.body_atoms()).map(Atom::relation).collect();
+        relations.sort_unstable();
+        relations.dedup();
+        let relation = |name: &str| {
+            relations.binary_search(&name).expect("every relation was interned") as u32
+        };
+
+        let ground = |t: &Term| {
+            if t.is_var() {
+                let position = containee
+                    .head()
+                    .iter()
+                    .position(|h| h == t)
+                    .expect("containment mappings into a grounded query need a ground body");
+                Ground::Head(position as u32)
+            } else {
+                Ground::Term(term(t))
             }
+        };
+        let head = containee.head().iter().map(ground).collect();
+        let body = PlanAtoms::new(containee, relation, ground);
+
+        // Variable slots in first-occurrence order, head first.
+        fn pattern<'q>(
+            t: &'q Term,
+            vars: &mut Vec<&'q str>,
+            term: &dyn Fn(&Term) -> u32,
+        ) -> Pattern {
+            match t.as_var() {
+                Some(v) => {
+                    let slot = vars.iter().position(|u| *u == v).unwrap_or_else(|| {
+                        vars.push(v);
+                        vars.len() - 1
+                    });
+                    Pattern::Slot(slot as u32)
+                }
+                None => Pattern::Term(term(t)),
+            }
+        }
+        let mut vars: Vec<&str> = Vec::new(); // alloc-ok: plan built once per pair
+        let containing_head = (containing.arity() == containee.arity())
+            .then(|| containing.head().iter().map(|t| pattern(t, &mut vars, &term)).collect());
+        let containing_atoms =
+            PlanAtoms::new(containing, relation, |t| pattern(t, &mut vars, &term));
+        let slots = vars.len();
+
+        let arity = containee.arity();
+        let raw_len = if arity == 0 {
+            // A Boolean query has exactly one (empty) candidate tuple.
+            Some(1)
+        } else {
+            u32::try_from(arity).ok().and_then(|a| domain.len().checked_pow(a))
+        };
+        CompilePlan {
+            domain,
+            raw_len,
+            head,
+            body,
+            containing_head,
+            containing: containing_atoms,
+            slots,
+        }
+    }
+
+    /// Decodes raw index `index` into its candidate tuple of term ids, in
+    /// [`ProbeSpace`] order (position 0 is the most significant digit).
+    fn decode(&self, index: usize, tuple: &mut Vec<u32>) {
+        let base = self.domain.len();
+        tuple.clear();
+        tuple.resize(self.head.len(), 0);
+        let mut rest = index;
+        for component in tuple.iter_mut().rev() {
+            *component = (rest % base) as u32;
+            rest /= base;
+        }
+    }
+
+    /// Compiles an explicit probe tuple into a [`CompiledProbe`] through
+    /// `scratch`; `None` when it is not unifiable with the containee's head.
+    fn compile_tuple(
+        &self,
+        containee: &ConjunctiveQuery,
+        probe: Vec<Term>,
+        scratch: &mut ProbeScratch,
+    ) -> Option<CompiledProbe> {
+        if probe.len() != self.head.len() {
+            return None;
+        }
+        let tuple = &mut scratch.compile.tuple;
+        tuple.clear();
+        tuple.extend(probe.iter().map(|t| {
+            let id = self.domain.binary_search(t).expect("probe terms are in the plan's domain");
+            id as u32
+        }));
+        if !self.compile(&mut scratch.compile) {
+            return None;
+        }
+        scratch.note_compiled(scratch.compile.out.mapping_count);
+        Some(CompiledProbe::materialise(containee, probe, &scratch.compile.out))
+    }
+
+    /// The kernel: compiles the probe tuple in `s.tuple` into `s.out`.
+    /// Returns `false` (compiling nothing) when the tuple is not unifiable
+    /// with the containee's head.
+    fn compile(&self, s: &mut CompileScratch) -> bool {
+        // Definition 3.1: repeated head variables take equal components,
+        // head constants themselves.
+        let unifiable = self.head.iter().zip(&s.tuple).all(|(g, &t)| match *g {
+            Ground::Head(p) => s.tuple[p as usize] == t,
+            Ground::Term(c) => c == t,
+        });
+        if !unifiable {
+            return false;
+        }
+        let _compile_span = dioph_obs::span(dioph_obs::Phase::Compile);
+
+        // Ground the containee, then sort its facts into atom order (ids
+        // compare like the names and terms they stand for) and merge the
+        // ones that ground equal, adding multiplicities (Equation 1).
+        s.facts.clear();
+        s.args.clear();
+        for atom in &self.body.atoms {
+            let start = s.args.len() as u32;
+            s.args.extend(self.body.args(atom).iter().map(|g| match *g {
+                Ground::Head(p) => s.tuple[p as usize],
+                Ground::Term(c) => c,
+            }));
+            s.facts.push(Fact {
+                relation: atom.relation,
+                start,
+                len: atom.len,
+                multiplicity: atom.multiplicity,
+            });
+        }
+        let args = &s.args;
+        s.facts.sort_unstable_by(|a, b| {
+            a.relation.cmp(&b.relation).then_with(|| a.args(args).cmp(b.args(args)))
+        });
+        s.facts.dedup_by(|later, kept| {
+            let same = later.relation == kept.relation && later.args(args) == kept.args(args);
+            if same {
+                kept.multiplicity += later.multiplicity;
+            }
+            same
+        });
+        let n = s.facts.len();
+        // The unknowns are the merged facts; the monomial is their
+        // multiplicities.
+        s.out.monomial.clear();
+        s.out.monomial.extend(s.facts.iter().map(|f| f.multiplicity));
+        s.out.terms.reset(n);
+        s.out.mapping_count = 0;
+
+        // Each containing atom's candidate facts: same relation and arity,
+        // constants in place.
+        s.candidates.clear();
+        s.ranges.clear();
+        for atom in &self.containing.atoms {
+            let start = s.candidates.len() as u32;
+            let pats = self.containing.args(atom);
+            for (j, fact) in s.facts.iter().enumerate() {
+                let fits = fact.relation == atom.relation
+                    && fact.len == atom.len
+                    && pats.iter().zip(fact.args(args)).all(|(p, &t)| match *p {
+                        Pattern::Slot(_) => true,
+                        Pattern::Term(c) => c == t,
+                    });
+                if fits {
+                    s.candidates.push(j as u32);
+                }
+            }
+            s.ranges.push((start, s.candidates.len() as u32));
+        }
+        // Most constrained atoms first (ties keep the body order).
+        let ranges = &s.ranges;
+        s.order.clear();
+        s.order.extend(0..self.containing.atoms.len() as u32);
+        s.order.sort_unstable_by_key(|&a| (ranges[a as usize].1 - ranges[a as usize].0, a));
+
+        // Seed: the containing head maps componentwise onto the probe tuple.
+        s.images.clear();
+        s.images.resize(self.slots, UNBOUND);
+        let seeded = self.containing_head.as_ref().is_some_and(|head| {
+            head.iter().zip(&s.tuple).all(|(p, &t)| match *p {
+                Pattern::Slot(slot) => {
+                    let image = &mut s.images[slot as usize];
+                    let fits = *image == UNBOUND || *image == t;
+                    *image = t;
+                    fits
+                }
+                Pattern::Term(c) => c == t,
+            })
+        });
+        if seeded {
+            s.trail.clear();
+            s.chosen.clear();
+            s.chosen.resize(self.containing.atoms.len(), 0);
+            s.leaf.clear();
+            s.leaf.resize(n, 0);
+            let mut search = Search {
+                atoms: &self.containing,
+                order: &s.order,
+                ranges: &s.ranges,
+                candidates: &s.candidates,
+                facts: &s.facts,
+                args: &s.args,
+                images: &mut s.images,
+                trail: &mut s.trail,
+                chosen: &mut s.chosen,
+                leaf: &mut s.leaf,
+                out: &mut s.out,
+            };
+            search.run(0);
+        }
+        s.out.sort();
+        true
+    }
+}
+
+/// The backtracking search for `CM(q2(x2), q1(t))` over one probe's facts.
+struct Search<'a> {
+    atoms: &'a PlanAtoms<Pattern>,
+    order: &'a [u32],
+    ranges: &'a [(u32, u32)],
+    candidates: &'a [u32],
+    facts: &'a [Fact],
+    args: &'a [u32],
+    images: &'a mut [u32],
+    trail: &'a mut Vec<u32>,
+    chosen: &'a mut [u32],
+    leaf: &'a mut [u64],
+    out: &'a mut MpiTerms,
+}
+
+impl Search<'_> {
+    fn run(&mut self, depth: usize) {
+        let Some(&atom) = self.order.get(depth) else {
+            self.visit();
+            return;
+        };
+        let (atoms, candidates) = (self.atoms, self.candidates);
+        let pats = atoms.args(&atoms.atoms[atom as usize]);
+        let (lo, hi) = self.ranges[atom as usize];
+        for &f in &candidates[lo as usize..hi as usize] {
+            let mark = self.trail.len();
+            if self.bind(pats, self.facts[f as usize]) {
+                self.chosen[depth] = f;
+                self.run(depth + 1);
+            }
+            for slot in self.trail.drain(mark..) {
+                self.images[slot as usize] = UNBOUND;
+            }
+        }
+    }
+
+    /// Extends the bindings so the atom with patterns `pats` maps onto
+    /// `fact`; newly bound slots go on the trail.
+    fn bind(&mut self, pats: &[Pattern], fact: Fact) -> bool {
+        for (p, &t) in pats.iter().zip(fact.args(self.args)) {
+            if let Pattern::Slot(slot) = *p {
+                let image = &mut self.images[slot as usize];
+                if *image == UNBOUND {
+                    *image = t;
+                    self.trail.push(slot);
+                } else if *image != t {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// One containment mapping: its image query's monomial adds each
+    /// containing atom's multiplicity to the fact it maps onto
+    /// (Equation 1).
+    fn visit(&mut self) {
+        self.out.mapping_count += 1;
+        self.leaf.fill(0);
+        for (&atom, &f) in self.order.iter().zip(self.chosen.iter()) {
+            self.leaf[f as usize] += self.atoms.atoms[atom as usize].multiplicity;
+        }
+        self.out.terms.insert(self.leaf);
+    }
+}
+
+/// The sorted probe domain of `containee`: its canonical active domain
+/// (the canonical constants of its variables plus its language constants,
+/// as [`dioph_cq::canonical_active_domain`] computes it), plus `extra`.
+/// Built from borrowed names, so each distinct term is cloned once.
+fn probe_domain(containee: &ConjunctiveQuery, extra: &[Term]) -> Vec<Term> {
+    // (variant rank in `Term`'s order, name): sorts exactly like the terms.
+    fn key(t: &Term, canonicalise: bool) -> (u8, &str) {
+        match t {
+            Term::Var(v) if canonicalise => (2, v),
+            Term::Var(v) => (0, v),
+            Term::Const(c) => (1, c),
+            Term::CanonConst(c) => (2, c),
+        }
+    }
+    let containee_terms =
+        containee.head().iter().chain(containee.body_atoms().flat_map(Atom::terms));
+    let mut keys: Vec<(u8, &str)> =
+        containee_terms.map(|t| key(t, true)).chain(extra.iter().map(|t| key(t, false))).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    keys.into_iter()
+        .map(|(rank, name)| match rank {
+            0 => Term::var(name),
+            1 => Term::constant(name),
+            _ => Term::canon(name),
         })
+        .collect()
 }
 
 /// Checks that `containee` lies in the fragment the paper's decision

@@ -25,7 +25,7 @@ use dioph_linalg::FeasibilityEngine;
 
 use crate::certificate::{BagContainment, ContainmentError};
 use crate::compile::{CompiledPair, CompiledProbe};
-use crate::scratch::ProbeScratch;
+use crate::scratch::{MpiTerms, ProbeScratch};
 
 /// Which decision algorithm to run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -84,15 +84,25 @@ impl BagContainmentDecider {
         self.decide_pair(&pair)
     }
 
-    /// Decides a pre-compiled pair, reusing (and filling) its compilation
-    /// cache. Repeated decisions of the same [`CompiledPair`] — a benchmark
-    /// repeat loop, a batch stream replaying a pair — skip the
-    /// containment-mapping enumeration entirely.
+    /// Decides a pre-compiled pair. The most-general route reuses (and
+    /// fills) the pair's memoised MPI, so repeated decisions of the same
+    /// [`CompiledPair`] — a benchmark repeat loop, a batch stream replaying
+    /// a pair — skip its compilation; the all-probes and guess-and-check
+    /// routes compile every probe afresh in one scratch.
     ///
     /// # Errors
     /// [`ContainmentError::BudgetExceeded`] for an exhausted guess-and-check
-    /// budget (validation errors are caught earlier, by [`CompiledPair::new`]).
+    /// budget, [`ContainmentError::IterationBudget`] for an exhausted LP,
+    /// and [`ContainmentError::ProbeSpaceOverflow`] when the probe sweep of
+    /// all-probes or guess-and-check cannot be indexed (validation errors
+    /// are caught earlier, by [`CompiledPair::new`]).
     pub fn decide_pair(&self, pair: &CompiledPair) -> Result<BagContainment, ContainmentError> {
+        if self.algorithm != Algorithm::MostGeneralProbe {
+            // A sweep that cannot be indexed decides nothing: rejected before
+            // the pair counts as decided, as the engine's pool does before
+            // admission.
+            pair.probe_count()?;
+        }
         dioph_obs::registry::ENGINE_PAIRS_DECIDED.incr();
         let result = self.decide_pair_inner(pair);
         if let Ok(verdict) = &result {
@@ -108,7 +118,7 @@ impl BagContainmentDecider {
         // through warmed buffers.
         let mut scratch = ProbeScratch::new();
         if self.algorithm == Algorithm::MostGeneralProbe {
-            let compiled = pair.most_general();
+            let compiled = pair.most_general_in(&mut scratch);
             return Ok(match self.decide_probe_in(compiled, &mut scratch)? {
                 Some(assignment) => BagContainment::NotContained(Box::new(
                     pair.counterexample(compiled, &assignment),
@@ -117,26 +127,28 @@ impl BagContainmentDecider {
             });
         }
         let mut checked = 0usize;
-        for index in 0..pair.probe_space().raw_len() {
-            let Some(compiled) = pair.probe(index) else { continue };
+        let mut event = Ok(None);
+        for index in 0..pair.probe_count()? {
+            let Some(outcome) = self.decide_index_in(pair, index, &mut scratch) else { continue };
             checked += 1;
-            if let Some(assignment) = self.decide_probe_in(compiled, &mut scratch)? {
-                return Ok(BagContainment::NotContained(Box::new(
-                    pair.counterexample(compiled, &assignment),
-                )));
+            event = outcome.map(|witness| witness.map(|assignment| (index, assignment)));
+            if !matches!(event, Ok(None)) {
+                break;
             }
         }
-        Ok(BagContainment::Contained { probes_checked: checked })
+        scratch.flush_counters();
+        Ok(match event? {
+            Some((index, assignment)) => {
+                let compiled = pair.compile_probe(index).expect("the witness came from a probe");
+                BagContainment::NotContained(Box::new(pair.counterexample(&compiled, &assignment)))
+            }
+            None => BagContainment::Contained { probes_checked: checked },
+        })
     }
 
     /// Decides a single compiled probe: `Ok(Some(ξ))` returns an MPI
     /// assignment witnessing non-containment at this probe, `Ok(None)` means
     /// the probe's MPI is unsolvable (this probe cannot break containment).
-    ///
-    /// This is the unit of work the parallel engine distributes across
-    /// worker threads; the sequential [`Self::decide_pair`] loop calls the
-    /// exact same function, which is what makes parallel verdicts
-    /// bit-identical to sequential ones.
     ///
     /// # Errors
     /// [`ContainmentError::BudgetExceeded`] when the guess-and-check
@@ -150,13 +162,14 @@ impl BagContainmentDecider {
     }
 
     /// [`Self::decide_probe`] through a caller-provided [`ProbeScratch`]:
-    /// every working buffer — the Theorem 4.1 system, the LP kernel tableau,
-    /// the guess-and-check enumeration state — is drawn from `scratch` and
-    /// recycled there, so a warmed scratch decides a probe with no heap
+    /// the probe's MPI is loaded into `scratch` and decided exactly as
+    /// [`Self::decide_index_in`] decides a probe it compiled there — every
+    /// working buffer (the Theorem 4.1 system, the LP kernel tableau, the
+    /// guess-and-check enumeration state) is drawn from `scratch` and
+    /// recycled, so a warmed scratch decides a probe with no heap
     /// allocation beyond the returned witness. Reuse is capacity-only;
-    /// verdicts and witnesses are bit-identical to [`Self::decide_probe`],
-    /// which is what keeps parallel workers (one scratch each) byte-identical
-    /// to the sequential loop.
+    /// verdicts and witnesses are bit-identical to [`Self::decide_probe`].
+    /// Flushes the scratch's counters.
     ///
     /// # Errors
     /// As [`Self::decide_probe`].
@@ -165,14 +178,56 @@ impl BagContainmentDecider {
         compiled: &CompiledProbe,
         scratch: &mut ProbeScratch,
     ) -> Result<Option<Vec<Natural>>, ContainmentError> {
-        dioph_obs::registry::CONTAINMENT_PROBES_DECIDED.incr();
+        scratch.compile.out.load(compiled.mpi(), compiled.mapping_count());
+        let outcome = self.decide_compiled(scratch);
+        scratch.flush_counters();
+        outcome
+    }
+
+    /// Compiles the probe with raw index `index` of `pair` into `scratch`
+    /// and decides it: `None` when the index is not a probe tuple (nothing
+    /// is decided), otherwise the outcome [`Self::decide_probe`] would give
+    /// for [`CompiledPair::compile_probe`]`(index)`.
+    ///
+    /// This is the unit of work of the all-probes and guess-and-check
+    /// loops, sequential and pooled alike, which is what makes parallel
+    /// verdicts bit-identical to sequential ones. Nothing is memoised and a
+    /// warmed scratch allocates nothing beyond a returned witness. The
+    /// per-probe registry counters are tallied in `scratch` until
+    /// [`ProbeScratch::flush_counters`].
+    pub fn decide_index_in(
+        &self,
+        pair: &CompiledPair,
+        index: usize,
+        scratch: &mut ProbeScratch,
+    ) -> Option<Result<Option<Vec<Natural>>, ContainmentError>> {
+        pair.compile_index_in(index, scratch).then(|| self.decide_compiled(scratch))
+    }
+
+    /// Decides the MPI in `scratch`'s compile output.
+    fn decide_compiled(
+        &self,
+        scratch: &mut ProbeScratch,
+    ) -> Result<Option<Vec<Natural>>, ContainmentError> {
         let _probe_span = dioph_obs::span(dioph_obs::Phase::Probe);
         scratch.note_probe();
+        let ProbeScratch { compile, mpi, gc_rows, gc_current, .. } = scratch;
+        let terms = &compile.out;
         match self.algorithm {
             Algorithm::MostGeneralProbe | Algorithm::AllProbes => {
-                Ok(compiled.mpi().diophantine_solution_in(self.engine, &mut scratch.mpi)?)
+                if terms.order.is_empty() {
+                    // No containment mapping: 0 < M(ξ) at the all-ones point.
+                    return Ok(Some(vec![Natural::one(); terms.dimension()])); // alloc-ok: returned witness
+                }
+                mpi.build_system(&terms.monomial, terms.rows());
+                let Some(d) = mpi.natural_direction(self.engine)? else {
+                    return Ok(None);
+                };
+                Ok(Some(terms.to_mpi().witness_from_direction(&d)))
             }
-            Algorithm::GuessCheck { budget } => guess_check_probe(compiled, budget, scratch),
+            Algorithm::GuessCheck { budget } => {
+                guess_check_probe(terms, budget, gc_rows, gc_current)
+            }
         }
     }
 }
@@ -196,25 +251,23 @@ pub fn observe_verdict(verdict: &BagContainment) {
 /// direction vector satisfying every strict inequality of the probe's MPI
 /// system, within `budget` enumerated candidates.
 fn guess_check_probe(
-    compiled: &CompiledProbe,
+    compiled: &MpiTerms,
     budget: u64,
-    scratch: &mut ProbeScratch,
+    gc_rows: &mut Vec<Vec<i128>>,
+    gc_current: &mut Vec<u64>,
 ) -> Result<Option<Vec<Natural>>, ContainmentError> {
     let n = compiled.dimension();
-    let e = compiled.mpi().monomial().exponents();
+    let e = &compiled.monomial;
     // Exponent differences computed straight on the machine words (widened
-    // so u64::MAX − 0 stays exact), written into recycled row storage. Split
-    // borrow: the rows stay immutably borrowed while the enumeration mutates
-    // the composition buffer.
-    let ProbeScratch { gc_rows, gc_current, .. } = scratch;
+    // so u64::MAX − 0 stays exact), written into recycled row storage.
     let mut term_count = 0usize;
-    for (_, m) in compiled.mpi().polynomial().terms() {
+    for m in compiled.rows() {
         if gc_rows.len() == term_count {
             gc_rows.push(Vec::new()); // alloc-ok: outer growth, once per warm-up
         }
         let row = &mut gc_rows[term_count];
         row.clear();
-        row.extend(e.iter().zip(m.exponents()).map(|(&a, &b)| a as i128 - b as i128));
+        row.extend(e.iter().zip(m).map(|(&a, &b)| a as i128 - b as i128));
         term_count += 1;
     }
     // Rows past `term_count` are previous probes' leftovers: ignored here,
@@ -281,7 +334,7 @@ fn guess_check_probe(
     let direction: &[u64] = current;
     let naturals: Vec<Natural> = direction.iter().copied().map(Natural::from).collect(); // alloc-ok: base search input
     let base = compiled
-        .mpi()
+        .to_mpi()
         .smallest_base_for(&naturals)
         .expect("a direction satisfying every inequality yields a base");
     // ξ_j = ζ*^{d_j}: raise the base straight from the enumerated

@@ -8,8 +8,11 @@
 //!
 //! ## Pipeline
 //!
-//! 1. [`CompiledProbe`] compiles (containee, containing, probe tuple) into a
-//!    Monomial–Polynomial Inequality (Definitions 3.2/3.3);
+//! 1. one compile kernel turns (containee, containing, probe tuple) into a
+//!    Monomial–Polynomial Inequality (Definitions 3.2/3.3): a
+//!    [`CompiledPair`] interns the pair once, and each probe is compiled
+//!    over the interned ids in a reused [`ProbeScratch`]
+//!    ([`CompiledProbe`] is the materialised form);
 //! 2. `dioph-poly` decides the MPI through the strict homogeneous linear
 //!    system of Theorem 4.1, solved by `dioph-linalg` (Theorem 4.2);
 //! 3. [`BagContainmentDecider`] wires it together following Theorem 5.3

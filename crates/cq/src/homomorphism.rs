@@ -147,181 +147,8 @@ pub fn containment_mappings_to_grounded(
         grounded_containee.head().iter().all(Term::is_constant),
         "containment mappings to a grounded query need a ground head"
     );
-    if !grounded_containee.body_atoms().all(Atom::is_ground) {
-        // Body variables survive grounding only outside the projection-free
-        // fragment; take the materialising route over the canonical instance.
-        let tuple: Vec<Term> = grounded_containee.head().to_vec();
-        let instance = grounded_containee.canonical_instance();
-        return query_homomorphisms_with_answer(containing, &instance, &tuple);
-    }
-    let mut out = Vec::new();
-    for_each_containment_mapping_to_grounded(containing, grounded_containee, |b| {
-        out.push(Substitution::from_pairs(b.bindings().map(|(v, t)| (v.to_string(), t.clone()))));
-    });
-    out
-}
-
-/// The variable bindings of one containment mapping found by
-/// [`for_each_containment_mapping_to_grounded`]: every variable of the
-/// containing query paired with its image in the target instance, borrowed —
-/// nothing is cloned or materialised.
-#[derive(Debug)]
-pub struct MappingBindings<'a> {
-    /// Distinct variables in first-occurrence order (head first, then body).
-    vars: Vec<&'a str>,
-    /// Image of each variable; all `Some` when a visitor observes the value.
-    images: Vec<Option<&'a Term>>,
-}
-
-impl<'a> MappingBindings<'a> {
-    /// The image `h(var)`, if bound.
-    pub fn image_of(&self, var: &str) -> Option<&'a Term> {
-        self.vars.iter().position(|v| *v == var).and_then(|i| self.images[i])
-    }
-
-    /// The bound variables and their images.
-    pub fn bindings(&self) -> impl Iterator<Item = (&'a str, &'a Term)> + '_ {
-        self.vars.iter().zip(&self.images).filter_map(|(v, i)| i.map(|t| (*v, t)))
-    }
-
-    fn slot(&mut self, var: &'a str) -> usize {
-        if let Some(i) = self.vars.iter().position(|v| *v == var) {
-            i
-        } else {
-            self.vars.push(var);
-            self.images.push(None);
-            self.vars.len() - 1
-        }
-    }
-}
-
-/// A pre-resolved pattern term: a binding slot for a variable, or a ground
-/// term matched by equality — so the search never touches variable names.
-enum Pat<'a> {
-    Slot(usize),
-    Ground(&'a Term),
-}
-
-/// Visitor form of [`containment_mappings_to_grounded`] for the compilation
-/// hot path: enumerates `CM(q₂(x₂), q₁(t))` without materialising
-/// substitutions, cloning terms or building the canonical instance. The
-/// backtracking search binds borrowed term images in a slot table and
-/// unwinds them through a trail, so a whole enumeration performs only the
-/// handful of set-up allocations — independent of how many mappings exist.
-///
-/// Mappings are visited in the same order [`containment_mappings_to_grounded`]
-/// returns them.
-///
-/// # Panics
-/// Panics if the grounded containee's body contains a variable (its head is
-/// only debug-asserted ground, matching the materialising route).
-pub fn for_each_containment_mapping_to_grounded<'a>(
-    containing: &'a ConjunctiveQuery,
-    grounded_containee: &'a ConjunctiveQuery,
-    mut visit: impl FnMut(&MappingBindings<'a>),
-) {
-    if containing.arity() != grounded_containee.arity() {
-        return;
-    }
-    let tuple = grounded_containee.head();
-    debug_assert!(
-        tuple.iter().all(Term::is_constant),
-        "containment mappings to a grounded query need a ground head"
-    );
-
-    // Seed: the head of the containing query must map componentwise onto the
-    // probe tuple (constants by equality, variables by consistent binding).
-    let mut bindings = MappingBindings { vars: Vec::new(), images: Vec::new() };
-    for (pattern, target) in containing.head().iter().zip(tuple) {
-        match pattern {
-            Term::Var(v) => {
-                let i = bindings.slot(v);
-                match bindings.images[i] {
-                    Some(existing) if existing != target => return,
-                    _ => bindings.images[i] = Some(target),
-                }
-            }
-            other if other != target => return,
-            _ => {}
-        }
-    }
-
-    // The facts are the distinct body atoms of the grounded containee (its
-    // canonical instance is itself, since grounding left no variables).
-    let facts: Vec<&Atom> = grounded_containee.body_atoms().collect();
-    assert!(
-        facts.iter().all(|f| f.is_ground()),
-        "containment mappings into a grounded query need a ground body"
-    );
-
-    // Pre-resolve each distinct containing atom to slot/ground patterns and
-    // its candidate facts, then order most-constrained-first (stable, so
-    // equal candidate counts keep the deterministic body order).
-    let mut ordered: Vec<(Vec<Pat<'a>>, Vec<&'a Atom>)> = containing
-        .body_atoms()
-        .map(|atom| {
-            let pats = atom
-                .terms()
-                .iter()
-                .map(|t| match t {
-                    Term::Var(v) => Pat::Slot(bindings.slot(v)),
-                    ground => Pat::Ground(ground),
-                })
-                .collect();
-            let candidates = facts.iter().copied().filter(|f| f.same_schema(atom)).collect();
-            (pats, candidates)
-        })
-        .collect();
-    ordered.sort_by_key(|(_, candidates)| candidates.len());
-
-    let mut trail: Vec<usize> = Vec::new();
-    search_bindings(&ordered, 0, &mut bindings, &mut trail, &mut visit);
-}
-
-fn search_bindings<'a>(
-    atoms: &[(Vec<Pat<'a>>, Vec<&'a Atom>)],
-    depth: usize,
-    bindings: &mut MappingBindings<'a>,
-    trail: &mut Vec<usize>,
-    visit: &mut impl FnMut(&MappingBindings<'a>),
-) {
-    let Some((pats, candidates)) = atoms.get(depth) else {
-        visit(bindings);
-        return;
-    };
-    for fact in candidates {
-        let mark = trail.len();
-        let mut ok = true;
-        for (pat, target) in pats.iter().zip(fact.terms()) {
-            match pat {
-                Pat::Slot(i) => match bindings.images[*i] {
-                    Some(existing) => {
-                        if existing != target {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    None => {
-                        bindings.images[*i] = Some(target);
-                        trail.push(*i);
-                    }
-                },
-                Pat::Ground(g) => {
-                    if *g != target {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-        }
-        if ok {
-            search_bindings(atoms, depth + 1, bindings, trail, visit);
-        }
-        while trail.len() > mark {
-            let i = trail.pop().expect("trail entries past the mark were just pushed");
-            bindings.images[i] = None;
-        }
-    }
+    let instance = grounded_containee.canonical_instance();
+    query_homomorphisms_with_answer(containing, &instance, grounded_containee.head())
 }
 
 /// Replaces canonical constants by their variables in every image of the

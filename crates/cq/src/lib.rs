@@ -43,9 +43,8 @@ mod ucq;
 
 pub use atom::Atom;
 pub use homomorphism::{
-    containment_mappings, containment_mappings_to_grounded,
-    for_each_containment_mapping_to_grounded, homomorphisms_into, is_set_contained,
-    query_homomorphisms, query_homomorphisms_with_answer, MappingBindings,
+    containment_mappings, containment_mappings_to_grounded, homomorphisms_into, is_set_contained,
+    query_homomorphisms, query_homomorphisms_with_answer,
 };
 pub use parser::{
     parse_program, parse_program_spanned, parse_query, parse_query_spanned, parse_ucq,

@@ -146,9 +146,10 @@ pub struct BatchStats {
 ///
 /// Query names are erased from the key because they never influence a
 /// verdict — `q1a ⊑b q1b` and `q7a ⊑b q7b` over the same bodies share one
-/// compilation. The cached [`CompiledPair`] is itself a lazy per-probe
-/// cache, so a stream that replays a pair skips the containment-mapping
-/// enumeration and MPI assembly entirely, not just the parse.
+/// compilation. A replayed pair reuses the cached [`CompiledPair`]'s
+/// validation, compile plan and memoised most-general MPI; all-probes and
+/// guess-check probes are compiled again by the deciding workers (nothing
+/// is kept per probe).
 pub struct CompilationCache {
     map: Mutex<HashMap<(String, String), Arc<CompiledPair>>>,
     capacity: usize,
@@ -184,8 +185,8 @@ impl CompilationCache {
             dioph_obs::registry::CACHE_COMPILED_PAIR_HITS.incr();
             return Ok(Arc::clone(pair));
         }
-        // Validate outside the lock; CompiledPair fills its probe slots
-        // lazily, so this is cheap.
+        // Validate outside the lock; CompiledPair builds its plan lazily,
+        // so this is cheap.
         let fresh = Arc::new(CompiledPair::new(containee.clone(), containing.clone())?);
         let mut map = self.map.lock().expect("cache users never panic");
         if let Some(raced) = map.get(&key) {
@@ -352,8 +353,8 @@ enum Admission {
     /// Already answered without scheduling (read / parse / fragment /
     /// compile failure).
     Answered(Verdict),
-    /// Compiled and ready to publish as claimable units.
-    Scheduled { context: JobContext, pair: Arc<CompiledPair> },
+    /// Compiled and ready to publish as `units` claimable units.
+    Scheduled { context: JobContext, pair: Arc<CompiledPair>, units: usize },
 }
 
 /// The job-local half of a scheduled pair: its id and *its own* parsed
@@ -385,17 +386,26 @@ impl JobContext {
     }
 }
 
-/// Parses, checks and compiles one job (runs on the feeder thread; the
-/// probe decisions themselves stay on the workers, since a fresh
-/// [`CompiledPair`] fills its probe slots lazily).
-fn admit_job(cache: &CompilationCache, job: Job) -> Admission {
+/// Parses, checks and compiles one job (runs on the feeder thread; probe
+/// compilation and decisions stay on the workers). A pair whose probe
+/// space cannot be indexed is answered here, as a `decide` error, before
+/// it reaches the scheduler.
+fn admit_job(cache: &CompilationCache, job: Job, kind: UnitKind) -> Admission {
     let id = job.id;
     if let Some(message) = job.read_error {
         return Admission::Answered(Verdict { id, outcome: Err(BatchError::Read { message }) });
     }
     match compile_source(cache, &job.source) {
         Ok((containee, containing, pair)) => {
-            Admission::Scheduled { context: JobContext { id, containee, containing }, pair }
+            let context = JobContext { id, containee, containing };
+            let units = match kind {
+                UnitKind::MostGeneral => Ok(1),
+                UnitKind::ProbeSpace => pair.probe_units(),
+            };
+            match units {
+                Ok(units) => Admission::Scheduled { context, pair, units },
+                Err(error) => Admission::Answered(context.into_verdict(Err(error))),
+            }
         }
         Err(error) => Admission::Answered(Verdict { id, outcome: Err(error) }),
     }
@@ -497,18 +507,18 @@ where
                 if scheduler_ref.is_aborted() {
                     break;
                 }
-                match admit_job(cache_ref, job) {
+                match admit_job(cache_ref, job, kind) {
                     Admission::Answered(verdict) => {
                         if feeder_tx.send((seq, verdict)).is_err() {
                             break;
                         }
                     }
-                    Admission::Scheduled { context, pair } => {
+                    Admission::Scheduled { context, pair, units } => {
                         contexts_ref
                             .lock()
                             .expect("the batch feeder never panics")
                             .insert(seq, context);
-                        if !scheduler_ref.admit(seq, PairRef::Shared(pair), kind) {
+                        if !scheduler_ref.admit(seq, PairRef::Shared(pair), kind, units) {
                             // Aborted while waiting for a slot; the context
                             // will never be finalized.
                             contexts_ref

@@ -16,8 +16,9 @@
 //! * [`DecisionEngine::decide`] admits **one pair** and fans its probe
 //!   units across a worker pool (capped at the unit count — `--jobs 8` on
 //!   a 3-probe pair spawns 3 threads). Workers claim unit chunks with a
-//!   relaxed atomic cursor, decide them with the exact same per-probe
-//!   routine the sequential decider uses, and the merge keeps the event
+//!   relaxed atomic cursor, compile and decide them with the exact same
+//!   per-probe routine the sequential decider uses
+//!   ([`BagContainmentDecider::decide_index_in`]), and the merge keeps the event
 //!   with the **lowest probe index** — so verdicts, counterexample bags
 //!   and JSON certificates are bit-identical to a sequential run, for any
 //!   thread count.
@@ -27,10 +28,13 @@
 //!   queue; workers pull unit chunks from *any* in-flight pair (a giant
 //!   pair amid small ones is drained by the whole pool instead of starving
 //!   one worker), and the collector emits [`Verdict`]s strictly in
-//!   submission order while later jobs are still in flight. Compilation is
-//!   amortised across the stream through a [`CompiledPair`] cache keyed by
-//!   the pair's (name-normalised) text, so a stream that replays a pair
-//!   reuses its containment-mapping enumeration.
+//!   submission order while later jobs are still in flight. Validation and
+//!   the compile plan are amortised across the stream through a
+//!   [`CompiledPair`] cache keyed by the pair's (name-normalised) text, so
+//!   a stream that replays a pair skips its parse-to-plan work and, on the
+//!   most-general route, its compiled MPI. All-probes and guess-check
+//!   probes are compiled afresh in each worker's scratch, which keeps
+//!   memory flat however large a probe space is.
 //! * [`JobReader`] turns any `BufRead` (stdin, a file) into a stream of
 //!   [`Job`]s without waiting for end of input, which is what lets
 //!   `diophantus batch` answer pair 1 while pair 1000 is still being typed.

@@ -22,10 +22,11 @@
 //! ```text
 //!   admit ──▶ claim chunk ──▶ decide probes ──▶ retire chunk ──▶ finalize
 //!   (feeder   (fetch_add on    (the sequential   (per-task tally  (last
-//!    blocks    next_unit; a     decide_probe;     under one lock   retired
-//!    at the    foreign pair     indices past      per chunk)       chunk
-//!    in-flight counts one       the cutoff are                     builds the
-//!    capacity) steal)           skipped)                           verdict)
+//!    blocks    next_unit; a     decide_index_in,  under one lock   retired
+//!    at the    foreign pair     compiled in the   per chunk; the   chunk
+//!    in-flight counts one       worker scratch;   scratch flushes  builds the
+//!    capacity) steal)           indices past the  its counters)    verdict)
+//!                               cutoff skipped)
 //! ```
 //!
 //! A claimed chunk always retires in full — skipped units (past the
@@ -47,7 +48,10 @@
 //! known event are skipped (their outcome could never win the merge),
 //! while lower units are still decided and may replace the event.
 //! Contained verdicts count every probe tuple exactly once, so
-//! `probes_checked` also matches the sequential run.
+//! `probes_checked` also matches the sequential run. Probes are compiled
+//! in the deciding worker's scratch and kept nowhere; the finalizer
+//! compiles the winning probe once more, as a `CompiledProbe`, for its
+//! certificate.
 //!
 //! ## Cancellation
 //!
@@ -195,15 +199,13 @@ impl<'a> Scheduler<'a> {
         }
     }
 
-    /// Publishes a compiled pair's probe space as claimable units, blocking
-    /// while the scheduler is at capacity. Returns `false` (without
-    /// admitting) once the scheduler is aborted.
-    pub(crate) fn admit(&self, seq: u64, pair: PairRef<'a>, kind: UnitKind) -> bool {
+    /// Publishes a compiled pair's `units` claimable units (1 for
+    /// [`UnitKind::MostGeneral`], [`CompiledPair::probe_units`] for
+    /// [`UnitKind::ProbeSpace`]), blocking while the scheduler is at
+    /// capacity. Returns `false` (without admitting) once the scheduler is
+    /// aborted.
+    pub(crate) fn admit(&self, seq: u64, pair: PairRef<'a>, kind: UnitKind, units: usize) -> bool {
         dioph_obs::registry::ENGINE_PAIRS_DECIDED.incr();
-        let units = match kind {
-            UnitKind::MostGeneral => 1,
-            UnitKind::ProbeSpace => pair.probe_units(),
-        };
         // Chunks aim for a few claims per worker per pair — enough that a
         // giant pair spreads across the pool, few enough that a tiny pair
         // costs one claim — capped so late-joining workers on a giant pair
@@ -335,6 +337,8 @@ impl<'a> Scheduler<'a> {
                 &mut busy_ns,
                 &mut max_unit_ns,
             );
+            // The chunk's per-probe counters reach the registry in one go.
+            scratch.flush_counters();
             let finished = {
                 let mut progress = task.progress.lock().expect("scheduler workers never panic");
                 if let Some((index, event)) = event {
@@ -371,7 +375,6 @@ impl<'a> Scheduler<'a> {
         max_unit_ns: &mut u64,
     ) -> (usize, Option<(usize, ProbeEvent)>) {
         let mut decided = 0usize;
-        let raw_len = task.pair.probe_space().raw_len();
         for index in range {
             if self.aborted.load(Ordering::Relaxed) {
                 // Cancelled: the rest of the chunk retires as skips.
@@ -384,14 +387,17 @@ impl<'a> Scheduler<'a> {
                 continue;
             }
             let unit_start = dioph_obs::phase::timing_enabled().then(Instant::now);
-            let compiled = match task.kind {
-                UnitKind::MostGeneral => Some(task.pair.most_general()),
-                UnitKind::ProbeSpace if index < raw_len => task.pair.probe(index),
-                UnitKind::ProbeSpace => None, // the degenerate no-op unit
+            let outcome = match task.kind {
+                UnitKind::MostGeneral => {
+                    Some(decider.decide_probe_in(task.pair.most_general_in(scratch), scratch))
+                }
+                // Compiled in this worker's scratch and decided there; an
+                // index that is not a probe tuple (or the degenerate no-op
+                // unit) decides nothing.
+                UnitKind::ProbeSpace => decider.decide_index_in(&task.pair, index, scratch),
             };
-            let Some(compiled) = compiled else { continue };
+            let Some(outcome) = outcome else { continue };
             decided += 1;
-            let outcome = decider.decide_probe_in(compiled, scratch);
             if let Some(unit_start) = unit_start {
                 let ns = u64::try_from(unit_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 *busy_ns = busy_ns.saturating_add(ns);
@@ -423,10 +429,16 @@ impl<'a> Scheduler<'a> {
         };
         let result = match event {
             Some((index, ProbeEvent::Witness(assignment))) => {
+                // Only the winning probe is materialised, for its certificate.
+                let winner;
                 let compiled = match task.kind {
                     UnitKind::MostGeneral => task.pair.most_general(),
                     UnitKind::ProbeSpace => {
-                        task.pair.probe(index).expect("the winning event came from a probe")
+                        winner = task
+                            .pair
+                            .compile_probe(index)
+                            .expect("the winning event came from a probe");
+                        &winner
                     }
                 };
                 Ok(BagContainment::NotContained(Box::new(
@@ -458,13 +470,15 @@ impl<'a> Scheduler<'a> {
 }
 
 /// Decides `pair` with up to `jobs` worker threads; bit-identical to
-/// `decider.decide_pair(pair)`.
+/// `decider.decide_pair(pair)`, including the probe-space overflow error
+/// raised before anything is admitted.
 pub(crate) fn decide_pair_parallel(
     decider: &BagContainmentDecider,
     pair: &CompiledPair,
     jobs: usize,
 ) -> Result<BagContainment, ContainmentError> {
-    run_probe_pool(decider, pair, jobs).0
+    let units = pair.probe_units()?;
+    run_probe_pool(decider, pair, units, jobs).0
 }
 
 /// The single-pair pool behind [`decide_pair_parallel`]. Also returns the
@@ -474,13 +488,14 @@ pub(crate) fn decide_pair_parallel(
 fn run_probe_pool(
     decider: &BagContainmentDecider,
     pair: &CompiledPair,
+    units: usize,
     jobs: usize,
 ) -> (Result<BagContainment, ContainmentError>, Vec<u64>) {
     // Never spawn more workers than there are claimable units: `--jobs 8`
     // on a 3-probe pair gets 3 threads, not 8 (5 of which could only idle).
-    let workers = jobs.min(pair.probe_units()).max(1);
+    let workers = jobs.min(units).max(1);
     let scheduler = Scheduler::new("probe", workers, 1);
-    scheduler.admit(0, PairRef::Borrowed(pair), UnitKind::ProbeSpace);
+    scheduler.admit(0, PairRef::Borrowed(pair), UnitKind::ProbeSpace, units);
     scheduler.close();
     let slot: Mutex<Option<Result<BagContainment, ContainmentError>>> = Mutex::new(None);
     std::thread::scope(|s| {
@@ -546,12 +561,12 @@ mod tests {
         // bounded by available work).
         let q = parse_query("q(x) <- R(x, x), S(x)").unwrap();
         let pair = CompiledPair::new(q.clone(), q.clone()).unwrap();
-        let units = pair.probe_units();
+        let units = pair.probe_units().unwrap();
         assert!(units < 64, "the example must be smaller than the job count");
         let decider = BagContainmentDecider::new(Algorithm::AllProbes);
         // The scheduler's own per-worker tallies, not the process-global
         // pool stats that concurrently running tests also write.
-        let (result, claims) = run_probe_pool(&decider, &pair, 64);
+        let (result, claims) = run_probe_pool(&decider, &pair, units, 64);
         result.unwrap();
         assert!(!claims.is_empty());
         assert!(claims.len() <= units, "{} workers for {units} units", claims.len());
@@ -567,8 +582,9 @@ mod tests {
         let decider = BagContainmentDecider::new(Algorithm::AllProbes);
         // Summed from this run's scheduler: the global `engine.units_claimed`
         // counter also moves with every sibling test deciding in parallel.
-        let (result, claims) = run_probe_pool(&decider, &pair, 8);
+        let units = pair.probe_units().unwrap();
+        let (result, claims) = run_probe_pool(&decider, &pair, units, 8);
         result.unwrap();
-        assert_eq!(claims.iter().sum::<u64>(), pair.probe_units() as u64);
+        assert_eq!(claims.iter().sum::<u64>(), units as u64);
     }
 }

@@ -191,12 +191,13 @@ pub static CACHE_COMPILED_PAIR_MISSES: Counter = Counter::new(
     C,
     "batch compilation-cache lookups that compiled a fresh CompiledPair",
 );
-/// Probe compilations (cold `CompiledProbe` builds).
+/// Probe compilations by the compile kernel (every one: the decide loops
+/// memoise no probe but the most-general one).
 pub static CACHE_PROBE_COMPILED: Counter = Counter::new(
     "cache.probe.compiled",
     Vol,
     C,
-    "cold CompiledProbe builds (memoised probe slots count only their first fill)",
+    "probe compilations (all-probes and guess-check probes each time they are decided)",
 );
 /// Containment mappings enumerated during probe compilation.
 pub static CONTAINMENT_MAPPINGS: Counter = Counter::new(

@@ -87,36 +87,6 @@ impl Mpi {
         sys
     }
 
-    /// [`Self::to_strict_system`] into a caller-provided scratch: the system
-    /// lives in `scratch` (readable afterwards via [`MpiScratch::system`]),
-    /// its rows built from — and, at the next call, torn back down into —
-    /// the scratch's recycled entry pool. The produced system is equal to
-    /// the one [`Self::to_strict_system`] returns; reuse is capacity-only.
-    pub fn to_strict_system_in<'s>(
-        &self,
-        scratch: &'s mut MpiScratch,
-    ) -> &'s StrictHomogeneousSystem {
-        let n = self.dimension();
-        let e = self.monomial.exponents();
-        let MpiScratch { sys, lp } = scratch;
-        let pool = lp.int_pool();
-        sys.reset_with_pool(n, pool);
-        for (_, mono) in self.polynomial.terms() {
-            // Same entry values and order as `to_strict_system`, written into
-            // a pooled vector instead of a fresh one.
-            let mut entries = pool.take();
-            entries.extend(
-                e.iter()
-                    .zip(mono.exponents())
-                    .enumerate()
-                    .filter(|(_, (&a, &b))| a != b)
-                    .map(|(j, (&a, &b))| (j, Integer::from(a as i128 - b as i128))),
-            );
-            sys.push_sparse_row(entries);
-        }
-        sys
-    }
-
     /// Decides whether the MPI admits a Diophantine solution (Theorem 4.1 +
     /// Theorem 4.2), without constructing one.
     ///
@@ -129,26 +99,6 @@ impl Mpi {
             return Ok(true);
         }
         self.to_strict_system().is_feasible(engine)
-    }
-
-    /// [`Self::has_diophantine_solution`] through a caller-provided scratch:
-    /// both the Theorem 4.1 system and the LP kernel's working set draw on
-    /// `scratch`, so a warmed scratch decides an MPI with no fresh heap
-    /// allocation. Verdicts are bit-identical to the scratch-free route.
-    ///
-    /// # Errors
-    /// As [`Self::has_diophantine_solution`].
-    pub fn has_diophantine_solution_in(
-        &self,
-        engine: FeasibilityEngine,
-        scratch: &mut MpiScratch,
-    ) -> Result<bool, LinalgError> {
-        if self.polynomial.is_zero() {
-            return Ok(true);
-        }
-        self.to_strict_system_in(scratch);
-        let MpiScratch { sys, lp } = scratch;
-        sys.is_feasible_in(engine, lp)
     }
 
     /// Finds an explicit Diophantine solution, if one exists.
@@ -178,40 +128,18 @@ impl Mpi {
         let Some(d) = self.to_strict_system().natural_solution(engine)? else {
             return Ok(None);
         };
-        let zeta = self.smallest_base_for(&d).expect("a base must exist for a valid direction d");
-        let point: Vec<Natural> = d
-            .iter()
-            .map(|dj| {
-                let exp = dj.to_u64().expect("LP-derived exponent should fit in u64");
-                zeta.pow(exp)
-            })
-            .collect();
-        debug_assert!(self.is_solution(&point), "constructed witness must satisfy the MPI");
-        Ok(Some(point))
+        Ok(Some(self.witness_from_direction(&d)))
     }
 
-    /// [`Self::diophantine_solution`] through a caller-provided scratch (see
-    /// [`Self::has_diophantine_solution_in`]); the returned witness is the
-    /// only allocation a warmed scratch leaves behind, and it is
-    /// bit-identical to the scratch-free route's.
+    /// The explicit witness `ξ_j = ζ*^{d_j}` for a natural solution `d` of
+    /// this MPI's strict system (steps 2–4 of
+    /// [`Self::diophantine_solution`]), verified against the MPI in debug
+    /// builds.
     ///
-    /// # Errors
-    /// As [`Self::diophantine_solution`].
-    pub fn diophantine_solution_in(
-        &self,
-        engine: FeasibilityEngine,
-        scratch: &mut MpiScratch,
-    ) -> Result<Option<Vec<Natural>>, LinalgError> {
-        let n = self.dimension();
-        if self.polynomial.is_zero() {
-            return Ok(Some(vec![Natural::one(); n])); // alloc-ok: returned witness
-        }
-        self.to_strict_system_in(scratch);
-        let MpiScratch { sys, lp } = scratch;
-        let Some(d) = sys.natural_solution_in(engine, lp)? else {
-            return Ok(None);
-        };
-        let zeta = self.smallest_base_for(&d).expect("a base must exist for a valid direction d");
+    /// # Panics
+    /// Panics if `d` does not solve the system (no base can work then).
+    pub fn witness_from_direction(&self, d: &[Natural]) -> Vec<Natural> {
+        let zeta = self.smallest_base_for(d).expect("a base must exist for a valid direction d");
         let point: Vec<Natural> = d
             .iter()
             .map(|dj| {
@@ -220,7 +148,7 @@ impl Mpi {
             })
             .collect(); // alloc-ok: returned witness
         debug_assert!(self.is_solution(&point), "constructed witness must satisfy the MPI");
-        Ok(Some(point))
+        point
     }
 
     /// Given a direction `d` (a natural solution of the strict system), finds
@@ -251,6 +179,61 @@ impl Mpi {
     /// Renders the MPI with custom unknown names.
     pub fn display_with<'a>(&'a self, names: &'a [String]) -> MpiDisplay<'a> {
         MpiDisplay { mpi: self, names: Some(names) }
+    }
+}
+
+impl MpiScratch {
+    /// Builds the strict homogeneous system of Theorem 4.1 for the MPI whose
+    /// monomial has exponent vector `monomial` and whose polynomial's
+    /// distinct terms have exponent vectors `terms` (one row per term, in
+    /// the order given). The system lives in this scratch (see
+    /// [`Self::system`]); its rows are built from — and, at the next call,
+    /// torn back down into — the scratch's recycled entry pool.
+    ///
+    /// The system equals [`Mpi::to_strict_system`] of the same MPI; reuse is
+    /// capacity-only. The probe compiler of `dioph-containment` feeds it the
+    /// exponent vectors it assembled in its own scratch, without building
+    /// an [`Mpi`] first.
+    pub fn build_system<'r>(
+        &mut self,
+        monomial: &[u64],
+        terms: impl IntoIterator<Item = &'r [u64]>,
+    ) -> &StrictHomogeneousSystem {
+        let MpiScratch { sys, lp } = self;
+        let pool = lp.int_pool();
+        sys.reset_with_pool(monomial.len(), pool);
+        for term in terms {
+            // Exponent differences computed directly on the machine words
+            // (widened so u64::MAX − 0 stays exact), written into a pooled
+            // vector; only the non-zero differences are stored, exactly as
+            // in `Mpi::to_strict_system`.
+            let mut entries = pool.take();
+            entries.extend(
+                monomial
+                    .iter()
+                    .zip(term)
+                    .enumerate()
+                    .filter(|(_, (&a, &b))| a != b)
+                    .map(|(j, (&a, &b))| (j, Integer::from(a as i128 - b as i128))),
+            );
+            sys.push_sparse_row(entries);
+        }
+        sys
+    }
+
+    /// A natural solution `d` of the system last built in this scratch
+    /// (`None` when it is infeasible), solved in the scratch's LP working
+    /// set. Feed it to [`Mpi::witness_from_direction`] for the witness.
+    ///
+    /// # Errors
+    /// [`LinalgError::IterationBudget`] if the LP engine exhausts its
+    /// defensive iteration budget.
+    pub fn natural_direction(
+        &mut self,
+        engine: FeasibilityEngine,
+    ) -> Result<Option<Vec<Natural>>, LinalgError> {
+        let MpiScratch { sys, lp } = self;
+        sys.natural_solution_in(engine, lp)
     }
 }
 
@@ -526,8 +509,10 @@ mod tests {
 
     #[test]
     fn scratch_route_matches_fresh_route() {
-        // The `_in` entry points must produce the identical system, verdict
-        // and witness as their scratch-free twins — warmed or cold.
+        // The scratch route — build the system from raw exponent vectors,
+        // solve it in place, build the witness from the direction — must
+        // produce the identical system, direction and witness as the
+        // scratch-free route, warmed or cold.
         let mut scratch = MpiScratch::new();
         let cases = [
             paper_mpi(),
@@ -543,15 +528,19 @@ mod tests {
         let engine = FeasibilityEngine::Simplex;
         // Reuse one scratch across all cases: later cases run warmed.
         for mpi in &cases {
-            assert_eq!(&mpi.to_strict_system(), mpi.to_strict_system_in(&mut scratch));
+            let terms = mpi.polynomial().terms().map(|(_, mono)| mono.exponents());
             assert_eq!(
-                mpi.has_diophantine_solution(engine).unwrap(),
-                mpi.has_diophantine_solution_in(engine, &mut scratch).unwrap(),
+                &mpi.to_strict_system(),
+                scratch.build_system(mpi.monomial().exponents(), terms)
             );
-            assert_eq!(
-                mpi.diophantine_solution(engine).unwrap(),
-                mpi.diophantine_solution_in(engine, &mut scratch).unwrap(),
-            );
+            let direction = scratch.natural_direction(engine).unwrap();
+            assert_eq!(direction, mpi.to_strict_system().natural_solution(engine).unwrap());
+            if !mpi.polynomial().is_zero() {
+                assert_eq!(
+                    mpi.diophantine_solution(engine).unwrap(),
+                    direction.map(|d| mpi.witness_from_direction(&d)),
+                );
+            }
         }
     }
 

@@ -9,13 +9,17 @@
 //! built from — and torn back down into — the scratch's shared integer
 //! entry pool, so a warmed scratch rebuilds and decides the Theorem 4.1
 //! system of each successive probe without fresh heap allocations.
+//! [`MpiScratch::build_system`] takes the MPI as raw exponent vectors, so a
+//! caller that assembled them in its own scratch (the probe compiler) needs
+//! no [`Mpi`](crate::Mpi) value at all.
 //!
-//! Reuse is capacity-only: [`Mpi::to_strict_system_in`] produces a system
-//! equal to [`Mpi::to_strict_system`], and the `_in` decision entry points
-//! return bit-identical verdicts and witnesses to their scratch-free twins.
+//! Reuse is capacity-only: [`MpiScratch::build_system`] produces a system
+//! equal to [`Mpi::to_strict_system`], and solving it in place gives the
+//! bit-identical direction — and, through [`Mpi::witness_from_direction`],
+//! witness — of the scratch-free route.
 //!
-//! [`Mpi::to_strict_system_in`]: crate::Mpi::to_strict_system_in
 //! [`Mpi::to_strict_system`]: crate::Mpi::to_strict_system
+//! [`Mpi::witness_from_direction`]: crate::Mpi::witness_from_direction
 
 use dioph_linalg::{LpScratch, StrictHomogeneousSystem};
 
@@ -37,10 +41,10 @@ impl MpiScratch {
         Self::default()
     }
 
-    /// The system built by the last [`to_strict_system_in`] call (for
-    /// callers that inspect the system after deciding it).
+    /// The system built by the last [`build_system`] call (for callers
+    /// that inspect the system after deciding it).
     ///
-    /// [`to_strict_system_in`]: crate::Mpi::to_strict_system_in
+    /// [`build_system`]: Self::build_system
     pub fn system(&self) -> &StrictHomogeneousSystem {
         &self.sys
     }

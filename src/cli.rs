@@ -2137,10 +2137,10 @@ fn cmd_bench(args: &[String], stdin: &mut dyn Read) -> CliResult {
                 containing.name()
             ))
         };
-        // Compile the pair once and share it across the repeat loop, so the
-        // timings measure the decision procedure — not recompilation of the
-        // containment-mapping enumeration on every run. (The first run still
-        // pays lazy compilation of the probes it touches.)
+        // Validate the pair once and share it across the repeat loop. The
+        // most-general MPI is compiled on the first run and reused by the
+        // rest; all-probes and guess-check compile every probe in the run's
+        // scratch each time, so their timings include compilation.
         let pair = CompiledPair::new(containee.clone(), containing.clone())
             .map_err(|e| cannot_decide(&e))?;
         let mut durations_ns: Vec<u128> = Vec::with_capacity(opts.repeat);

@@ -54,12 +54,25 @@ fn warm_probe_loop_stays_under_the_allocation_bound() {
     let pair = CompiledPair::new(containee, containing).expect("the path pair is decidable");
     let decider = BagContainmentDecider::new(Algorithm::AllProbes);
 
-    // First decision warms the lazy probe-compilation cache (bench repeat
-    // loops amortise this the same way); the measured run then covers the
-    // decision procedure itself.
+    // The cold run: the first decision of a fresh pair builds its compile
+    // plan and warms a new scratch. Probes are compiled in the scratch and
+    // memoised nowhere, so it must stay under the same per-probe bound.
+    let before = diophantus::obs::snapshot();
     let verdict = decider.decide_pair(&pair).expect("decidable");
+    let delta = diophantus::obs::snapshot().since(&before);
     assert!(verdict.holds(), "the path pair is contained by construction");
+    let probes = delta.get("containment.probes.decided").unwrap_or(0);
+    let allocs = delta.get("alloc.heap.allocs").unwrap_or(0);
+    assert_eq!(probes, 3125, "the cold run must decide the full probe space");
+    let per_probe = allocs as f64 / probes as f64;
+    assert!(
+        per_probe < 8.0,
+        "cold allocation regression: {allocs} heap allocs over {probes} probes \
+         ({per_probe:.1}/probe)"
+    );
 
+    // The warm run recompiles every probe through a fresh scratch, exactly
+    // as a bench repeat loop does.
     let before = diophantus::obs::snapshot();
     decider.decide_pair(&pair).expect("decidable");
     let delta = diophantus::obs::snapshot().since(&before);

@@ -662,6 +662,72 @@ fn lp_iteration_budget_blowout_is_a_per_pair_error_not_a_poisoned_pool() {
     assert!(!out.contains("error"), "{out}");
 }
 
+/// Runs the binary like [`run`], but kills it if it has not exited within
+/// `seconds`; `None` means it hung.
+fn run_with_deadline(args: &[&str], stdin: &str, seconds: u64) -> Option<Output> {
+    let mut child = Command::new(BIN)
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("the diophantus binary must spawn");
+    child
+        .stdin
+        .take()
+        .expect("stdin was piped")
+        .write_all(stdin.as_bytes())
+        .expect("writing to the child's stdin");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(seconds);
+    while child.try_wait().expect("polling the child").is_none() {
+        if std::time::Instant::now() > deadline {
+            child.kill().expect("killing the hung child");
+            child.wait().expect("reaping the killed child");
+            return None;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    Some(child.wait_with_output().expect("the diophantus binary must exit"))
+}
+
+#[test]
+fn probe_space_overflow_is_a_per_pair_batch_error_and_the_stream_continues() {
+    // Regression: a length-20 path containee has 21^21 candidate probe
+    // tuples, more than a usize indexes. Admitting it to the all-probes
+    // scheduler panicked the batch feeder thread, and the stream hung.
+    let big = stdout_of(&["gen", "path", "--count", "1", "--size", "20", "--seed", "1"], "");
+    let input = format!("{big}small(x) <- R(x, x). other(x) <- R(x, x).\n");
+    for jobs in ["1", "2"] {
+        let args = ["batch", "--algorithm", "all-probes", "--json", "--keep-going", "--jobs", jobs];
+        let out = run_with_deadline(&args, &input, 10).expect("batch must not hang");
+        assert_eq!(out.status.code(), Some(1), "a failed pair still exits non-zero");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        let lines: Vec<&str> = stdout.lines().collect();
+        assert_eq!(lines.len(), 2, "both pairs must be answered: {stdout}");
+        assert!(lines[0].starts_with("{\"id\":1,\"error\":{\"stage\":\"decide\""), "{stdout}");
+        assert!(lines[0].contains("cannot decide q1a ⊑b q1b: the probe space of q1a"), "{stdout}");
+        assert!(lines[1].starts_with("{\"id\":2,"), "{stdout}");
+        assert!(lines[1].contains("\"verdict\":\"contained\""), "{stdout}");
+    }
+}
+
+#[test]
+fn probe_space_overflow_fails_decide_with_a_diagnostic_not_a_panic() {
+    let big = stdout_of(&["gen", "path", "--count", "1", "--size", "20", "--seed", "1"], "");
+    for jobs in ["1", "2"] {
+        let out = run(&["decide", "--algorithm", "all-probes", "--jobs", jobs], &big);
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(
+            stderr.contains("cannot decide q1a ⊑b q1b: the probe space of q1a has 21^21"),
+            "{stderr}"
+        );
+    }
+    // The most-general route never sweeps the probe space: it still decides.
+    let out = stdout_of(&["decide", "--json"], &big);
+    assert!(out.contains("\"verdict\":\"contained\""), "{out}");
+}
+
 #[test]
 fn workload_files_decide_with_the_paper_verdicts() {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/workloads");

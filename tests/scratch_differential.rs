@@ -1,7 +1,7 @@
 //! Differential tests for the scratch-memory discipline.
 //!
 //! The zero-allocation probe loop reuses one [`ProbeScratch`] across every
-//! probe a worker decides. Reuse is supposed to be **capacity-only**: a
+//! probe a worker compiles and decides. Reuse is supposed to be **capacity-only**: a
 //! probe decided through a warmed, shared scratch must produce the
 //! bit-identical outcome — verdict, witness assignment, even the error — as
 //! the same probe decided through fresh allocations. These tests pin that
@@ -53,6 +53,15 @@ fn assert_probe_parity(pair: &CompiledPair, warmed: &mut ProbeScratch) {
                 format!("{fresh:?}"),
                 format!("{reused:?}"),
                 "warmed scratch diverged from fresh allocation: {decider:?}, probe {index}"
+            );
+            // The decide loops' route: compiled by index in the warmed
+            // scratch, never materialised.
+            let kernel = decider.decide_index_in(pair, index, warmed).expect("a probe tuple");
+            warmed.flush_counters();
+            assert_eq!(
+                format!("{fresh:?}"),
+                format!("{kernel:?}"),
+                "scratch-compiled probe diverged from fresh allocation: {decider:?}, probe {index}"
             );
         }
     }

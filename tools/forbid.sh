@@ -15,9 +15,9 @@
 #     semantics; route new ones through dioph-obs instead;
 #   * Vec::new() / vec![ in the marked hot-loop modules — the probe loop
 #     runs on recycled scratch memory (ARCHITECTURE.md, "The scratch-memory
-#     discipline"), so an unannotated allocation in an LP kernel, the MPI
-#     compiler or the decider is a per-probe allocation regression waiting
-#     to happen. Deliberate allocations (returned witnesses, one-time
+#     discipline"), so an unannotated allocation in an LP kernel, the probe
+#     compiler, the MPI layer or the decider is a per-probe allocation
+#     regression waiting to happen. Deliberate allocations (returned witnesses, one-time
 #     warm-up growth, densification) carry an `// alloc-ok: <reason>`
 #     annotation on the same or the preceding line. The scratch layer
 #     itself (*/scratch.rs) is where allocation is supposed to happen and
@@ -108,6 +108,7 @@ crates/linalg/src/row.rs
 crates/linalg/src/simplex.rs
 crates/linalg/src/feasibility.rs
 crates/poly/src/mpi.rs
+crates/containment/src/compile.rs
 crates/containment/src/decider.rs
 "
 alloc_filtered=""
