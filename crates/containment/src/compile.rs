@@ -284,17 +284,6 @@ impl CompiledPair {
         })
     }
 
-    /// The number of claimable probe units this pair exposes to a scheduler:
-    /// [`Self::probe_count`], floored at one so a degenerate (empty) probe
-    /// space still publishes a single no-op unit whose retirement finalizes
-    /// the pair (deciding that unit finds no probe tuple).
-    ///
-    /// # Errors
-    /// As [`Self::probe_count`].
-    pub fn probe_units(&self) -> Result<usize, ContainmentError> {
-        Ok(self.probe_count()?.max(1))
-    }
-
     /// Resolves (and memoises) the compilation of the probe with raw index
     /// `index` in [`Self::probe_space`]; `None` when that index is not a
     /// probe tuple. Safe to call from many threads at once. The decide

@@ -16,6 +16,16 @@
 //!   check each against every containment mapping. Exponential; serves as
 //!   the baseline the LP route is compared against.
 //!
+//! Every algorithm decides a pair as a range of **work units** — the one
+//! most-general probe, or every raw probe index of a sweep — and the event
+//! (witness or error) of the lowest unit that has one decides the pair. The
+//! decider alone knows what a unit is: [`BagContainmentDecider::units`]
+//! counts them, [`BagContainmentDecider::decide_unit_in`] decides one, and
+//! [`BagContainmentDecider::verdict`] turns the winning event into the
+//! pair's verdict. Its own sequential loop
+//! ([`BagContainmentDecider::decide_pair`]) and the worker pools of
+//! `dioph-engine` are both written against these three calls.
+//!
 //! Whenever containment fails, an explicit, independently verifiable
 //! [`Counterexample`] bag is produced.
 
@@ -84,8 +94,10 @@ impl BagContainmentDecider {
         self.decide_pair(&pair)
     }
 
-    /// Decides a pre-compiled pair. The most-general route reuses (and
-    /// fills) the pair's memoised MPI, so repeated decisions of the same
+    /// Decides a pre-compiled pair: decides its [`Self::units`] in order,
+    /// stops at the first event (a witness or an error), and hands it to
+    /// [`Self::verdict`]. The most-general route reuses (and fills) the
+    /// pair's memoised MPI, so repeated decisions of the same
     /// [`CompiledPair`] — a benchmark repeat loop, a batch stream replaying
     /// a pair — skip its compilation; the all-probes and guess-and-check
     /// routes compile every probe afresh in one scratch.
@@ -93,57 +105,114 @@ impl BagContainmentDecider {
     /// # Errors
     /// [`ContainmentError::BudgetExceeded`] for an exhausted guess-and-check
     /// budget, [`ContainmentError::IterationBudget`] for an exhausted LP,
-    /// and [`ContainmentError::ProbeSpaceOverflow`] when the probe sweep of
-    /// all-probes or guess-and-check cannot be indexed (validation errors
-    /// are caught earlier, by [`CompiledPair::new`]).
+    /// and [`ContainmentError::ProbeSpaceOverflow`] from [`Self::units`]
+    /// (validation errors are caught earlier, by [`CompiledPair::new`]).
     pub fn decide_pair(&self, pair: &CompiledPair) -> Result<BagContainment, ContainmentError> {
-        if self.algorithm != Algorithm::MostGeneralProbe {
-            // A sweep that cannot be indexed decides nothing: rejected before
-            // the pair counts as decided, as the engine's pool does before
-            // admission.
-            pair.probe_count()?;
-        }
-        dioph_obs::registry::ENGINE_PAIRS_DECIDED.incr();
-        let result = self.decide_pair_inner(pair);
-        if let Ok(verdict) = &result {
-            observe_verdict(verdict);
-        }
-        result
-    }
-
-    /// The sequential decision loop behind [`Self::decide_pair`] (split out so
-    /// the public entry point records registry counters exactly once).
-    fn decide_pair_inner(&self, pair: &CompiledPair) -> Result<BagContainment, ContainmentError> {
+        let units = self.units(pair)?;
         // One scratch for the whole pair: every probe after the first runs
         // through warmed buffers.
         let mut scratch = ProbeScratch::new();
-        if self.algorithm == Algorithm::MostGeneralProbe {
-            let compiled = pair.most_general_in(&mut scratch);
-            return Ok(match self.decide_probe_in(compiled, &mut scratch)? {
-                Some(assignment) => BagContainment::NotContained(Box::new(
-                    pair.counterexample(compiled, &assignment),
-                )),
-                None => BagContainment::Contained { probes_checked: 1 },
-            });
-        }
         let mut checked = 0usize;
-        let mut event = Ok(None);
-        for index in 0..pair.probe_count()? {
-            let Some(outcome) = self.decide_index_in(pair, index, &mut scratch) else { continue };
+        let mut event = None;
+        for unit in 0..units {
+            let Some(outcome) = self.decide_unit_in(pair, unit, &mut scratch) else { continue };
             checked += 1;
-            event = outcome.map(|witness| witness.map(|assignment| (index, assignment)));
-            if !matches!(event, Ok(None)) {
+            if let Some(outcome) = outcome.transpose() {
+                event = Some((unit, outcome));
                 break;
             }
         }
         scratch.flush_counters();
-        Ok(match event? {
-            Some((index, assignment)) => {
-                let compiled = pair.compile_probe(index).expect("the witness came from a probe");
-                BagContainment::NotContained(Box::new(pair.counterexample(&compiled, &assignment)))
+        self.verdict(pair, event, checked)
+    }
+
+    /// The number of work units deciding `pair` takes, each decided by
+    /// [`Self::decide_unit_in`]: one for the most-general probe, and for a
+    /// probe sweep one per raw probe index ([`CompiledPair::probe_count`]),
+    /// floored at one so a degenerate (empty) probe space still has a
+    /// single no-op unit whose retirement finishes the pair.
+    ///
+    /// # Errors
+    /// [`ContainmentError::ProbeSpaceOverflow`] when a sweep's probe space
+    /// cannot be indexed; the most-general route never sweeps, so it never
+    /// fails here. Raised before anything is decided or counted.
+    pub fn units(&self, pair: &CompiledPair) -> Result<usize, ContainmentError> {
+        match self.algorithm {
+            Algorithm::MostGeneralProbe => Ok(1),
+            Algorithm::AllProbes | Algorithm::GuessCheck { .. } => Ok(pair.probe_count()?.max(1)),
+        }
+    }
+
+    /// Decides work unit `unit` of `pair` (below [`Self::units`]) in
+    /// `scratch`: the most-general probe (memoised in the pair, through
+    /// [`Self::decide_probe_in`]) or the probe with raw index `unit`
+    /// (through [`Self::decide_index_in`]). `None` when the unit is not a
+    /// probe tuple (nothing is decided); otherwise the probe's witness, or
+    /// `Ok(None)` when the probe cannot break containment.
+    ///
+    /// This is the one unit of work of the sequential loop and of every
+    /// worker pool, which is what makes parallel verdicts bit-identical to
+    /// sequential ones.
+    pub fn decide_unit_in(
+        &self,
+        pair: &CompiledPair,
+        unit: usize,
+        scratch: &mut ProbeScratch,
+    ) -> Option<Result<Option<Vec<Natural>>, ContainmentError>> {
+        match self.algorithm {
+            Algorithm::MostGeneralProbe => {
+                Some(self.decide_probe_in(pair.most_general_in(scratch), scratch))
             }
+            Algorithm::AllProbes | Algorithm::GuessCheck { .. } => {
+                self.decide_index_in(pair, unit, scratch)
+            }
+        }
+    }
+
+    /// Assembles the verdict of a pair whose units are all decided (or
+    /// skipped past `event`): `event` is the lowest-unit witness or error,
+    /// `checked` the number of probe tuples decided. A witness becomes a
+    /// certificate through its probe as a [`CompiledProbe`]: the pair's
+    /// memoised most-general probe, or a sweep's probe compiled once more
+    /// (only the winning probe is ever materialised). Counts the pair
+    /// in `engine.pairs_decided` and its verdict in the verdict counters —
+    /// the only place either is counted.
+    ///
+    /// # Errors
+    /// The error `event` carries.
+    pub fn verdict(
+        &self,
+        pair: &CompiledPair,
+        event: Option<(usize, Result<Vec<Natural>, ContainmentError>)>,
+        checked: usize,
+    ) -> Result<BagContainment, ContainmentError> {
+        dioph_obs::registry::ENGINE_PAIRS_DECIDED.incr();
+        let verdict = match event {
             None => BagContainment::Contained { probes_checked: checked },
-        })
+            Some((_, Err(error))) => return Err(error),
+            Some((unit, Ok(assignment))) => {
+                let counterexample = match self.algorithm {
+                    Algorithm::MostGeneralProbe => {
+                        pair.counterexample(pair.most_general(), &assignment)
+                    }
+                    Algorithm::AllProbes | Algorithm::GuessCheck { .. } => {
+                        let compiled =
+                            pair.compile_probe(unit).expect("the witness came from a probe");
+                        pair.counterexample(&compiled, &assignment)
+                    }
+                };
+                BagContainment::NotContained(Box::new(counterexample))
+            }
+        };
+        match verdict {
+            BagContainment::Contained { .. } => {
+                dioph_obs::registry::ENGINE_VERDICTS_CONTAINED.incr();
+            }
+            BagContainment::NotContained(_) => {
+                dioph_obs::registry::ENGINE_VERDICTS_NOT_CONTAINED.incr();
+            }
+        }
+        Ok(verdict)
     }
 
     /// Decides a single compiled probe: `Ok(Some(ξ))` returns an MPI
@@ -189,10 +258,9 @@ impl BagContainmentDecider {
     /// is decided), otherwise the outcome [`Self::decide_probe`] would give
     /// for [`CompiledPair::compile_probe`]`(index)`.
     ///
-    /// This is the unit of work of the all-probes and guess-and-check
-    /// loops, sequential and pooled alike, which is what makes parallel
-    /// verdicts bit-identical to sequential ones. Nothing is memoised and a
-    /// warmed scratch allocates nothing beyond a returned witness. The
+    /// This is the work unit of the all-probes and guess-and-check sweeps
+    /// ([`Self::decide_unit_in`]). Nothing is memoised and a warmed scratch
+    /// allocates nothing beyond a returned witness. The
     /// per-probe registry counters are tallied in `scratch` until
     /// [`ProbeScratch::flush_counters`].
     pub fn decide_index_in(
@@ -228,21 +296,6 @@ impl BagContainmentDecider {
             Algorithm::GuessCheck { budget } => {
                 guess_check_probe(terms, budget, gc_rows, gc_current)
             }
-        }
-    }
-}
-
-/// Tallies one verdict into the registry. Public so the probe-parallel pool
-/// in `dioph-engine` — which assembles its [`BagContainment`] from merged
-/// probe events rather than through [`BagContainmentDecider::decide_pair`] —
-/// counts identically to the sequential loop.
-pub fn observe_verdict(verdict: &BagContainment) {
-    match verdict {
-        BagContainment::Contained { .. } => {
-            dioph_obs::registry::ENGINE_VERDICTS_CONTAINED.incr();
-        }
-        BagContainment::NotContained(_) => {
-            dioph_obs::registry::ENGINE_VERDICTS_NOT_CONTAINED.incr();
         }
     }
 }

@@ -53,8 +53,7 @@ mod set;
 pub use certificate::{BagContainment, ContainmentError, Counterexample};
 pub use compile::{CompiledPair, CompiledProbe};
 pub use decider::{
-    are_bag_equivalent, bag_equivalence, is_bag_contained, observe_verdict, Algorithm,
-    BagContainmentDecider,
+    are_bag_equivalent, bag_equivalence, is_bag_contained, Algorithm, BagContainmentDecider,
 };
 pub use scratch::ProbeScratch;
 pub use set::{

@@ -5,9 +5,9 @@
 //!
 //! ```text
 //!   input ──JobReader──▶ feeder ──admit──▶ unified scheduler ──▶ workers
-//!   (stdin,  (splits on    thread  (parse,  (each pair's probe    (claim
-//!    file)    '.' pair      │       check,   space published as    (pair,
-//!             boundaries)   │       compile) claimable units)      probe)
+//!   (stdin,  (splits on    thread  (parse,  (each pair's units    (claim
+//!    file)    '.' pair      │       check,   published as         (pair,
+//!             boundaries)   │       compile) claimable ranges)     unit)
 //!                           ▼                                      chunks)
 //!                    collector (calling thread) ◀── finalized ──────┘
 //!                    reorders by submission seq,      verdicts
@@ -15,11 +15,12 @@
 //! ```
 //!
 //! The feeder admits pairs: it parses, fragment-checks and compiles (via
-//! the shared [`CompilationCache`]) each job, answers broken jobs
-//! immediately, and publishes every compiled pair's probe space into the
-//! shared [`Scheduler`](crate::pool) as claimable unit ranges. Workers
-//! pull (pair, probe-index) chunks from *any* in-flight pair, so a giant
-//! pair amid small ones is drained by the whole pool. The input iterator
+//! the [`CompilationCache`], which only the feeder touches) each job,
+//! answers broken jobs immediately, asks the decider how many units the
+//! pair has ([`BagContainmentDecider::units`]) and publishes them into the
+//! shared [`Scheduler`](crate::pool) as a claimable range. Workers pull
+//! (pair, unit) chunks from *any* in-flight pair, so a giant pair amid
+//! small ones is drained by the whole pool. The input iterator
 //! is pulled lazily (the feeder blocks admission while the pool is
 //! saturated), so memory stays bounded no matter how long the stream is,
 //! and verdict `k` is emitted as soon as jobs `1..=k` are done — not when
@@ -31,10 +32,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
 use dioph_analyze::first_fragment_error;
-use dioph_containment::{Algorithm, BagContainment, CompiledPair, ContainmentError};
+use dioph_containment::{BagContainment, BagContainmentDecider, CompiledPair, ContainmentError};
 use dioph_cq::{parse_program_spanned, ConjunctiveQuery};
 
-use crate::pool::{PairRef, Scheduler, UnitKind};
+use crate::pool::Scheduler;
 use crate::DecisionEngine;
 
 /// How many compiled pairs the per-stream cache retains before it is
@@ -190,8 +191,9 @@ impl CompilationCache {
         let fresh = Arc::new(CompiledPair::new(containee.clone(), containing.clone())?);
         let mut map = self.map.lock().expect("cache users never panic");
         if let Some(raced) = map.get(&key) {
-            // Another worker compiled the same pair while we validated; keep
-            // the incumbent so both jobs share one per-probe cache.
+            // Another thread sharing the cache compiled the same pair while
+            // we validated (`run_batch` itself calls this from its feeder
+            // only); keep the incumbent so both share one compilation.
             self.hits.fetch_add(1, Ordering::Relaxed);
             dioph_obs::registry::CACHE_COMPILED_PAIR_HITS.incr();
             return Ok(Arc::clone(raced));
@@ -386,11 +388,11 @@ impl JobContext {
     }
 }
 
-/// Parses, checks and compiles one job (runs on the feeder thread; probe
-/// compilation and decisions stay on the workers). A pair whose probe
-/// space cannot be indexed is answered here, as a `decide` error, before
-/// it reaches the scheduler.
-fn admit_job(cache: &CompilationCache, job: Job, kind: UnitKind) -> Admission {
+/// Parses, checks and compiles one job and counts its units (runs on the
+/// feeder thread; probe compilation and decisions stay on the workers). A
+/// pair whose probe space cannot be indexed is answered here, as a
+/// `decide` error, before it reaches the scheduler.
+fn admit_job(cache: &CompilationCache, job: Job, decider: &BagContainmentDecider) -> Admission {
     let id = job.id;
     if let Some(message) = job.read_error {
         return Admission::Answered(Verdict { id, outcome: Err(BatchError::Read { message }) });
@@ -398,11 +400,7 @@ fn admit_job(cache: &CompilationCache, job: Job, kind: UnitKind) -> Admission {
     match compile_source(cache, &job.source) {
         Ok((containee, containing, pair)) => {
             let context = JobContext { id, containee, containing };
-            let units = match kind {
-                UnitKind::MostGeneral => Ok(1),
-                UnitKind::ProbeSpace => pair.probe_units(),
-            };
-            match units {
+            match decider.units(&pair) {
                 Ok(units) => Admission::Scheduled { context, pair, units },
                 Err(error) => Admission::Answered(context.into_verdict(Err(error))),
             }
@@ -466,13 +464,8 @@ where
 
     // Every scheduled pair publishes its units through one shared queue,
     // so a worker drained of its own pair steals units from any other
-    // in-flight pair instead of idling behind a giant one.
-    let kind = if engine.config().algorithm == Algorithm::MostGeneralProbe {
-        UnitKind::MostGeneral
-    } else {
-        UnitKind::ProbeSpace
-    };
-    // The in-flight-task capacity is the old bounded job channel's
+    // in-flight pair instead of idling behind a giant one. The
+    // in-flight-task capacity is the old bounded job channel's
     // backpressure: the feeder blocks when the pool is saturated, keeping
     // memory bounded on endless streams.
     let scheduler = Scheduler::new("batch", workers, workers * 2);
@@ -500,14 +493,15 @@ where
 
         let feeder_tx = out_tx.clone();
         drop(out_tx);
-        let (scheduler_ref, cache_ref, contexts_ref) = (&scheduler, &cache, &contexts);
+        let (scheduler_ref, cache_ref, contexts_ref, decider_ref) =
+            (&scheduler, &cache, &contexts, &decider);
         s.spawn(move || {
             dioph_obs::trace::name_current_thread("batch-feeder");
             for (seq, job) in (0u64..).zip(jobs) {
                 if scheduler_ref.is_aborted() {
                     break;
                 }
-                match admit_job(cache_ref, job, kind) {
+                match admit_job(cache_ref, job, decider_ref) {
                     Admission::Answered(verdict) => {
                         if feeder_tx.send((seq, verdict)).is_err() {
                             break;
@@ -518,7 +512,7 @@ where
                             .lock()
                             .expect("the batch feeder never panics")
                             .insert(seq, context);
-                        if !scheduler_ref.admit(seq, PairRef::Shared(pair), kind, units) {
+                        if !scheduler_ref.admit(seq, pair, units) {
                             // Aborted while waiting for a slot; the context
                             // will never be finalized.
                             contexts_ref

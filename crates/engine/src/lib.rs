@@ -9,22 +9,25 @@
 //! crossbeam):
 //!
 //! Both fronts are served by **one scheduler** whose unit of work is a
-//! **(pair, probe-index) claim** from a shared queue (the
-//! [`dioph_cq::ProbeSpace`] makes probes randomly addressable, and
-//! [`CompiledPair::probe_units`] is the claiming surface):
+//! **(pair, unit-index) claim** from a shared queue. The engine does not
+//! know the algorithms: the [`BagContainmentDecider`] counts a pair's units
+//! ([`BagContainmentDecider::units`] — the most-general probe, or every raw
+//! index of the randomly addressable [`dioph_cq::ProbeSpace`]), decides one
+//! ([`BagContainmentDecider::decide_unit_in`]) and turns the winning event
+//! into the verdict ([`BagContainmentDecider::verdict`]):
 //!
-//! * [`DecisionEngine::decide`] admits **one pair** and fans its probe
-//!   units across a worker pool (capped at the unit count — `--jobs 8` on
-//!   a 3-probe pair spawns 3 threads). Workers claim unit chunks with a
-//!   relaxed atomic cursor, compile and decide them with the exact same
-//!   per-probe routine the sequential decider uses
-//!   ([`BagContainmentDecider::decide_index_in`]), and the merge keeps the event
-//!   with the **lowest probe index** — so verdicts, counterexample bags
-//!   and JSON certificates are bit-identical to a sequential run, for any
-//!   thread count.
+//! * [`DecisionEngine::decide`] decides **one pair**. When the job count or
+//!   the pair's unit count is one, that is the decider's own sequential
+//!   loop; otherwise the pair's units fan out across a worker pool (capped
+//!   at the unit count — `--jobs 8` on a 3-probe pair spawns 3 threads).
+//!   Workers claim unit chunks with a relaxed atomic cursor, decide them
+//!   with the exact same per-unit routine the sequential loop uses, and the
+//!   merge keeps the event with the **lowest unit index** — so verdicts,
+//!   counterexample bags and JSON certificates are bit-identical to a
+//!   sequential run, for any thread count.
 //! * [`DecisionEngine::run_batch`] is the streaming front-end: a feeder
 //!   thread pulls [`Job`]s from an input iterator, parses + compiles them,
-//!   and publishes every admitted pair's probe space into the same shared
+//!   and publishes every admitted pair's units into the same shared
 //!   queue; workers pull unit chunks from *any* in-flight pair (a giant
 //!   pair amid small ones is drained by the whole pool instead of starving
 //!   one worker), and the collector emits [`Verdict`]s strictly in
@@ -50,6 +53,8 @@ mod batch;
 mod pool;
 
 pub use batch::{BatchError, BatchStats, CompilationCache, Job, JobReader, PairOutcome, Verdict};
+
+use std::sync::Arc;
 
 use dioph_containment::{
     Algorithm, BagContainment, BagContainmentDecider, CompiledPair, ContainmentError,
@@ -104,8 +109,8 @@ impl DecisionEngine {
         BagContainmentDecider::new(self.config.algorithm).with_engine(self.config.engine)
     }
 
-    /// Decides `containee ⊑b containing`, fanning probe tuples across the
-    /// configured number of worker threads. The verdict — including the
+    /// Decides `containee ⊑b containing`, fanning the pair's units across
+    /// the configured number of worker threads. The verdict — including the
     /// counterexample bag, when containment fails — is bit-identical to
     /// [`BagContainmentDecider::decide`] for every `jobs` value.
     ///
@@ -116,40 +121,22 @@ impl DecisionEngine {
         containee: &ConjunctiveQuery,
         containing: &ConjunctiveQuery,
     ) -> Result<BagContainment, ContainmentError> {
-        let pair = CompiledPair::new(containee.clone(), containing.clone())?;
-        self.decide_pair(&pair)
+        self.decide_pair(Arc::new(CompiledPair::new(containee.clone(), containing.clone())?))
     }
 
-    /// Decides a pre-compiled pair, reusing its compilation cache.
+    /// Decides a pre-compiled pair, reusing its compilation cache: with one
+    /// job or one unit, through the decider's own sequential loop, and
+    /// otherwise on a worker pool.
     ///
     /// # Errors
-    /// The same errors as [`BagContainmentDecider::decide`].
-    pub fn decide_pair(&self, pair: &CompiledPair) -> Result<BagContainment, ContainmentError> {
+    /// The same errors as [`BagContainmentDecider::decide_pair`].
+    pub fn decide_pair(&self, pair: Arc<CompiledPair>) -> Result<BagContainment, ContainmentError> {
         let decider = self.sequential_decider();
-        // The most-general-probe algorithm decides a single probe — there is
-        // nothing to fan out — and a single worker is the sequential loop.
-        if self.config.jobs <= 1 || self.config.algorithm == Algorithm::MostGeneralProbe {
-            return decider.decide_pair(pair);
+        let units = decider.units(&pair)?;
+        if self.config.jobs.min(units) <= 1 {
+            return decider.decide_pair(&pair);
         }
-        pool::decide_pair_parallel(&decider, pair, self.config.jobs)
-    }
-
-    /// Decides bag equivalence (containment in both directions), each
-    /// direction probe-parallel. Mirrors
-    /// [`bag_equivalence`](dioph_containment::bag_equivalence): the forward
-    /// direction is decided (and its errors surface) first.
-    ///
-    /// # Errors
-    /// The same errors as [`BagContainmentDecider::decide`], for either
-    /// direction.
-    pub fn equivalence(
-        &self,
-        q1: &ConjunctiveQuery,
-        q2: &ConjunctiveQuery,
-    ) -> Result<(BagContainment, BagContainment), ContainmentError> {
-        let forward = self.decide(q1, q2)?;
-        let backward = self.decide(q2, q1)?;
-        Ok((forward, backward))
+        pool::decide_pair_parallel(&decider, pair, units, self.config.jobs).0
     }
 
     /// Runs a streaming batch: pulls [`Job`]s from `jobs` as they become
@@ -211,10 +198,11 @@ mod tests {
             (q("q(x) <- R^2(x, x)"), q("p(x) <- R(x, y), R(y, x)")),
         ];
         for (containee, containing) in cases {
+            let pair = Arc::new(CompiledPair::new(containee.clone(), containing.clone()).unwrap());
             for jobs in [1usize, 2, 4] {
                 for engine in engines(jobs) {
-                    let sequential =
-                        engine.sequential_decider().decide(&containee, &containing).unwrap();
+                    let decider = engine.sequential_decider();
+                    let sequential = decider.decide(&containee, &containing).unwrap();
                     let parallel = engine.decide(&containee, &containing).unwrap();
                     assert_eq!(
                         parallel,
@@ -223,30 +211,34 @@ mod tests {
                         engine.config().algorithm
                     );
                     assert_eq!(parallel.to_json(), sequential.to_json());
+                    // The pool itself, for every algorithm — including the
+                    // single most-general unit that `decide` keeps sequential.
+                    let units = decider.units(&pair).unwrap();
+                    let pooled =
+                        pool::decide_pair_parallel(&decider, Arc::clone(&pair), units, jobs)
+                            .0
+                            .unwrap();
+                    assert_eq!(pooled, sequential, "jobs={jobs} {:?} pool", decider.algorithm);
+                    assert_eq!(pooled.to_json(), sequential.to_json());
                 }
             }
         }
     }
 
     #[test]
-    fn equivalence_matches_the_sequential_helper() {
-        use dioph_cq::paper_examples;
-        let q1 = paper_examples::section2_query_q1();
-        let q2 = paper_examples::section2_query_q2();
-        let engine = DecisionEngine::new(EngineConfig { jobs: 4, ..Default::default() });
-        let (forward, backward) = engine.equivalence(&q1, &q2).unwrap();
-        let (sf, sb) = dioph_containment::bag_equivalence(&q1, &q2).unwrap();
-        assert_eq!(forward, sf);
-        assert_eq!(backward, sb);
-    }
-
-    #[test]
     fn errors_propagate_from_either_direction() {
-        let engine = DecisionEngine::new(EngineConfig { jobs: 2, ..Default::default() });
-        let pf = q("q(x) <- R(x, x)");
-        let not_pf = q("p(x) <- R(x, y), R(y, y)");
-        assert!(engine.decide(&not_pf, &pf).is_err());
-        assert!(engine.equivalence(&pf, &not_pf).is_err());
+        // Only the containee must be projection-free: whichever direction
+        // makes the projection-bearing query the containee fails, on every
+        // algorithm; the other direction decides.
+        for engine in engines(2) {
+            let pf = q("q(x) <- R(x, x)");
+            let not_pf = q("p(x) <- R(x, y), R(y, y)");
+            assert!(matches!(
+                engine.decide(&not_pf, &pf),
+                Err(ContainmentError::ContaineeNotProjectionFree { .. })
+            ));
+            assert!(engine.decide(&pf, &not_pf).is_ok());
+        }
     }
 
     #[test]

@@ -1,57 +1,58 @@
-//! The unified (pair × probe) work-stealing scheduler: one shared work
+//! The unified (pair × unit) work-stealing scheduler: one shared work
 //! queue serves both the single-pair `decide` pool and the streaming
 //! `batch` pool.
 //!
 //! ## The work unit
 //!
-//! The schedulable unit is a **(pair, probe-index) claim**, not a whole
-//! pair. Every admitted [`PairTask`] publishes its probe space as a range
-//! of claimable unit indices (`0..units`): one unit per raw probe index
-//! for the all-probes and guess-and-check algorithms, a single unit for
-//! the most-general-probe route, and a single no-op unit for a degenerate
-//! empty probe space (so some worker always retires — and therefore
-//! finalizes — the pair). Workers claim *chunks* of consecutive units with
-//! one relaxed `fetch_add` on the task's `next_unit` cursor: chunking keeps
-//! cache locality on giant probe spaces and keeps tiny pairs from paying
-//! one atomic claim per probe, while the shared cursor means any worker can
-//! pull units from any in-flight pair — a giant pair amid small ones is
-//! drained by the whole pool instead of starving on one thread.
+//! The schedulable unit is a **(pair, unit-index) claim**, not a whole
+//! pair. Every admitted [`PairTask`] publishes a range of claimable unit
+//! indices (`0..units`). The scheduler does not know what a unit is: the
+//! decider counts a pair's units ([`BagContainmentDecider::units`] — one
+//! per raw probe index for a sweep, one for the most-general probe, one
+//! no-op unit for an empty probe space, so some worker always retires —
+//! and therefore finalizes — the pair), decides each one
+//! ([`BagContainmentDecider::decide_unit_in`]) and assembles the verdict
+//! ([`BagContainmentDecider::verdict`]). Workers claim *chunks* of
+//! consecutive units with one relaxed `fetch_add` on the task's
+//! `next_unit` cursor: chunking keeps cache locality on giant probe spaces
+//! and keeps tiny pairs from paying one atomic claim per probe, while the
+//! shared cursor means any worker can pull units from any in-flight pair —
+//! a giant pair amid small ones is drained by the whole pool instead of
+//! starving on one thread.
 //!
 //! ## Unit lifecycle
 //!
 //! ```text
-//!   admit ──▶ claim chunk ──▶ decide probes ──▶ retire chunk ──▶ finalize
+//!   admit ──▶ claim chunk ──▶ decide units ──▶ retire chunk ──▶ finalize
 //!   (feeder   (fetch_add on    (the sequential   (per-task tally  (last
-//!    blocks    next_unit; a     decide_index_in,  under one lock   retired
-//!    at the    foreign pair     compiled in the   per chunk; the   chunk
-//!    in-flight counts one       worker scratch;   scratch flushes  builds the
-//!    capacity) steal)           indices past the  its counters)    verdict)
-//!                               cutoff skipped)
+//!    blocks    next_unit; a     decide_unit_in,   under one lock   retired
+//!    at the    foreign pair     in the worker     per chunk; the   chunk
+//!    in-flight counts one       scratch; units    scratch flushes  calls the
+//!    capacity) steal)           past the cutoff   its counters)    decider's
+//!                               skipped)                           verdict)
 //! ```
 //!
 //! A claimed chunk always retires in full — skipped units (past the
 //! cutoff, or after a cancellation) retire without being decided — so the
 //! per-task `remaining` tally reaches zero exactly once, and the worker
-//! that retires the last chunk finalizes the pair: it assembles the
-//! verdict from the merged event and hands it to the caller's sink. The
-//! per-task completion tally lives under a `Mutex` locked once per retired
-//! chunk, which is also what publishes every worker's probe outcomes to
-//! the finalizer (the claim cursors only use relaxed atomics).
+//! that retires the last chunk finalizes the pair: the decider assembles
+//! the verdict from the merged event, and the worker hands it to the
+//! caller's sink. The per-task completion tally lives under a `Mutex`
+//! locked once per retired chunk, which is also what publishes every
+//! worker's probe outcomes to the finalizer (the claim cursors only use
+//! relaxed atomics).
 //!
 //! ## Deterministic merging
 //!
-//! The sequential decider returns the outcome of the **first** probe (in
-//! probe order) that produces an event — a witness assignment or a
-//! guess-and-check budget error. To be bit-identical for any worker count
-//! and any claim interleaving, each task keeps only the event with the
-//! lowest probe index and uses that index as a *cutoff*: units above a
-//! known event are skipped (their outcome could never win the merge),
-//! while lower units are still decided and may replace the event.
-//! Contained verdicts count every probe tuple exactly once, so
-//! `probes_checked` also matches the sequential run. Probes are compiled
-//! in the deciding worker's scratch and kept nowhere; the finalizer
-//! compiles the winning probe once more, as a `CompiledProbe`, for its
-//! certificate.
+//! The sequential decider returns the outcome of the **first** unit (in
+//! unit order) that produces an event — a witness assignment or a
+//! per-probe error. To be bit-identical for any worker count and any
+//! claim interleaving, each task keeps only the event with the lowest unit
+//! index and uses that index as a *cutoff*: units above a known event are
+//! skipped (their outcome could never win the merge), while lower units
+//! are still decided and may replace the event. Contained verdicts count
+//! every probe tuple exactly once, so `probes_checked` also matches the
+//! sequential run.
 //!
 //! ## Cancellation
 //!
@@ -63,7 +64,6 @@
 //! normally, and the collector discards the drained results — no worker is
 //! ever detached or killed mid-unit.
 
-use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -73,42 +73,8 @@ use dioph_containment::{
     BagContainment, BagContainmentDecider, CompiledPair, ContainmentError, ProbeScratch,
 };
 
-/// The outcome of one probe that can decide the whole pair.
-enum ProbeEvent {
-    /// An MPI assignment witnessing non-containment at this probe.
-    Witness(Vec<Natural>),
-    /// The per-probe decision failed (guess-and-check budget exhaustion).
-    Error(ContainmentError),
-}
-
-/// How a scheduled pair is owned: the single-pair pool borrows its caller's
-/// pair, the batch pool shares the compilation cache's.
-pub(crate) enum PairRef<'a> {
-    /// Borrowed from the caller (`DecisionEngine::decide`).
-    Borrowed(&'a CompiledPair),
-    /// Shared with the batch [`CompilationCache`](crate::CompilationCache).
-    Shared(Arc<CompiledPair>),
-}
-
-impl Deref for PairRef<'_> {
-    type Target = CompiledPair;
-
-    fn deref(&self) -> &CompiledPair {
-        match self {
-            PairRef::Borrowed(pair) => pair,
-            PairRef::Shared(pair) => pair,
-        }
-    }
-}
-
-/// What one unit index of a task means.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum UnitKind {
-    /// One unit: the pair's most-general probe (Theorem 5.3 route).
-    MostGeneral,
-    /// One unit per raw probe-space index (all-probes, guess-and-check).
-    ProbeSpace,
-}
+/// A unit that decides the whole pair: its index and its witness or error.
+type UnitEvent = (usize, Result<Vec<Natural>, ContainmentError>);
 
 /// The merge-and-completion state of one task, locked once per retired
 /// chunk. Holding `checked` and the winning event under the same lock as
@@ -118,17 +84,16 @@ struct Progress {
     remaining: usize,
     /// Probe tuples decided (the `probes_checked` of a Contained verdict).
     checked: usize,
-    /// The lowest-index probe event seen so far.
-    event: Option<(usize, ProbeEvent)>,
+    /// The lowest-index unit event seen so far.
+    event: Option<UnitEvent>,
 }
 
-/// One admitted pair: a claimable range of `units` probe indices plus the
+/// One admitted pair: a claimable range of `units` unit indices plus the
 /// merge state that turns retired units back into a single verdict.
-pub(crate) struct PairTask<'a> {
+pub(crate) struct PairTask {
     /// Submission sequence; handed back to the sink for in-order collection.
     seq: u64,
-    pair: PairRef<'a>,
-    kind: UnitKind,
+    pair: Arc<CompiledPair>,
     /// Total claimable units (≥ 1).
     units: usize,
     /// Consecutive units claimed per `fetch_add` on `next_unit`.
@@ -142,7 +107,7 @@ pub(crate) struct PairTask<'a> {
     progress: Mutex<Progress>,
 }
 
-impl PairTask<'_> {
+impl PairTask {
     /// Whether the task still has unclaimed units (racy, by design: a
     /// losing claimer just moves on).
     fn has_units(&self) -> bool {
@@ -151,9 +116,9 @@ impl PairTask<'_> {
 }
 
 /// The scheduler's shared queue state, guarded by [`Scheduler::state`].
-struct SchedState<'a> {
+struct SchedState {
     /// In-flight tasks with unclaimed units, in submission order.
-    queue: Vec<Arc<PairTask<'a>>>,
+    queue: Vec<Arc<PairTask>>,
     /// Tasks admitted but not yet finalized (the feeder's backpressure).
     in_flight: usize,
     /// No further admissions; drained workers may exit.
@@ -162,18 +127,18 @@ struct SchedState<'a> {
     claims: Vec<u64>,
 }
 
-/// One shared work queue of (pair, probe-index) units.
+/// One shared work queue of (pair, unit-index) units.
 ///
 /// The same implementation serves the single-pair pool (`pool` label
 /// `"probe"`, one pre-admitted task) and the streaming batch pool (label
 /// `"batch"`, tasks admitted by the feeder while workers run).
-pub(crate) struct Scheduler<'a> {
+pub(crate) struct Scheduler {
     /// Pool label for worker thread names and per-worker stats.
     pool: &'static str,
     workers: usize,
     /// Maximum tasks in flight before [`Self::admit`] blocks.
     capacity: usize,
-    state: Mutex<SchedState<'a>>,
+    state: Mutex<SchedState>,
     /// Signalled on admission and close: workers wait here when drained.
     work_available: Condvar,
     /// Signalled on finalize and abort: the feeder waits here when full.
@@ -181,7 +146,7 @@ pub(crate) struct Scheduler<'a> {
     aborted: AtomicBool,
 }
 
-impl<'a> Scheduler<'a> {
+impl Scheduler {
     pub(crate) fn new(pool: &'static str, workers: usize, capacity: usize) -> Self {
         Scheduler {
             pool,
@@ -199,13 +164,11 @@ impl<'a> Scheduler<'a> {
         }
     }
 
-    /// Publishes a compiled pair's `units` claimable units (1 for
-    /// [`UnitKind::MostGeneral`], [`CompiledPair::probe_units`] for
-    /// [`UnitKind::ProbeSpace`]), blocking while the scheduler is at
-    /// capacity. Returns `false` (without admitting) once the scheduler is
-    /// aborted.
-    pub(crate) fn admit(&self, seq: u64, pair: PairRef<'a>, kind: UnitKind, units: usize) -> bool {
-        dioph_obs::registry::ENGINE_PAIRS_DECIDED.incr();
+    /// Publishes a compiled pair's `units` claimable units (the decider's
+    /// [`BagContainmentDecider::units`]), blocking while the scheduler is
+    /// at capacity. Returns `false` (without admitting) once the scheduler
+    /// is aborted.
+    pub(crate) fn admit(&self, seq: u64, pair: Arc<CompiledPair>, units: usize) -> bool {
         // Chunks aim for a few claims per worker per pair — enough that a
         // giant pair spreads across the pool, few enough that a tiny pair
         // costs one claim — capped so late-joining workers on a giant pair
@@ -214,7 +177,6 @@ impl<'a> Scheduler<'a> {
         let task = Arc::new(PairTask {
             seq,
             pair,
-            kind,
             units,
             chunk,
             next_unit: AtomicUsize::new(0),
@@ -264,7 +226,7 @@ impl<'a> Scheduler<'a> {
     /// first, which unblocks the in-order collector soonest — or blocks
     /// until one is admitted. `None` means the stream is closed (or
     /// aborted) and drained.
-    fn next_task(&self) -> Option<Arc<PairTask<'a>>> {
+    fn next_task(&self) -> Option<Arc<PairTask>> {
         let mut state = self.state.lock().expect("scheduler users never panic");
         loop {
             state.queue.retain(|task| task.has_units());
@@ -296,7 +258,7 @@ impl<'a> Scheduler<'a> {
         // warmed buffers. Scratch reuse is capacity-only, so worker verdicts
         // stay bit-identical to the sequential loop.
         let mut scratch = ProbeScratch::new();
-        let mut current: Option<Arc<PairTask<'a>>> = None;
+        let mut current: Option<Arc<PairTask>> = None;
         loop {
             let task = match current.take() {
                 // Locality: keep claiming from the task this worker already
@@ -315,9 +277,6 @@ impl<'a> Scheduler<'a> {
             let claimed = end - start;
             claims += claimed as u64;
             dioph_obs::registry::ENGINE_UNITS_CLAIMED.add(claimed as u64);
-            if task.kind == UnitKind::ProbeSpace {
-                dioph_obs::registry::ENGINE_PROBES_CLAIMED.add(claimed as u64);
-            }
             // The first claim marks ownership; every chunk another worker
             // pulls from the pair afterwards is a steal.
             let claim = task.owner.compare_exchange(
@@ -355,7 +314,7 @@ impl<'a> Scheduler<'a> {
                 progress.remaining == 0
             };
             if finished {
-                self.finalize(&task, sink);
+                self.finalize(&task, decider, sink);
             }
             current = Some(task);
         }
@@ -367,13 +326,13 @@ impl<'a> Scheduler<'a> {
     /// decided and the chunk's lowest-index event, if any.
     fn decide_units(
         &self,
-        task: &PairTask<'a>,
+        task: &PairTask,
         decider: &BagContainmentDecider,
         range: std::ops::Range<usize>,
         scratch: &mut ProbeScratch,
         busy_ns: &mut u64,
         max_unit_ns: &mut u64,
-    ) -> (usize, Option<(usize, ProbeEvent)>) {
+    ) -> (usize, Option<UnitEvent>) {
         let mut decided = 0usize;
         for index in range {
             if self.aborted.load(Ordering::Relaxed) {
@@ -387,27 +346,18 @@ impl<'a> Scheduler<'a> {
                 continue;
             }
             let unit_start = dioph_obs::phase::timing_enabled().then(Instant::now);
-            let outcome = match task.kind {
-                UnitKind::MostGeneral => {
-                    Some(decider.decide_probe_in(task.pair.most_general_in(scratch), scratch))
-                }
-                // Compiled in this worker's scratch and decided there; an
-                // index that is not a probe tuple (or the degenerate no-op
-                // unit) decides nothing.
-                UnitKind::ProbeSpace => decider.decide_index_in(&task.pair, index, scratch),
+            // A unit that is not a probe tuple (or the degenerate no-op
+            // unit) decides nothing.
+            let Some(outcome) = decider.decide_unit_in(&task.pair, index, scratch) else {
+                continue;
             };
-            let Some(outcome) = outcome else { continue };
             decided += 1;
             if let Some(unit_start) = unit_start {
                 let ns = u64::try_from(unit_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 *busy_ns = busy_ns.saturating_add(ns);
                 *max_unit_ns = (*max_unit_ns).max(ns);
             }
-            let event = match outcome {
-                Ok(None) => continue,
-                Ok(Some(assignment)) => ProbeEvent::Witness(assignment),
-                Err(error) => ProbeEvent::Error(error),
-            };
+            let Some(event) = outcome.transpose() else { continue };
             // Later units of this chunk have strictly higher indices, so
             // they can never win the merge against this event: stop here
             // and let the remainder retire as skips.
@@ -416,42 +366,19 @@ impl<'a> Scheduler<'a> {
         (decided, None)
     }
 
-    /// Turns a fully retired task back into a verdict and hands it to the
-    /// sink; runs on whichever worker retired the last chunk.
+    /// Has the decider turn a fully retired task back into a verdict and
+    /// hands it to the sink; runs on whichever worker retired the last chunk.
     fn finalize(
         &self,
-        task: &PairTask<'a>,
+        task: &PairTask,
+        decider: &BagContainmentDecider,
         sink: &impl Fn(u64, Result<BagContainment, ContainmentError>),
     ) {
         let (event, checked) = {
             let mut progress = task.progress.lock().expect("scheduler workers never panic");
             (progress.event.take(), progress.checked)
         };
-        let result = match event {
-            Some((index, ProbeEvent::Witness(assignment))) => {
-                // Only the winning probe is materialised, for its certificate.
-                let winner;
-                let compiled = match task.kind {
-                    UnitKind::MostGeneral => task.pair.most_general(),
-                    UnitKind::ProbeSpace => {
-                        winner = task
-                            .pair
-                            .compile_probe(index)
-                            .expect("the winning event came from a probe");
-                        &winner
-                    }
-                };
-                Ok(BagContainment::NotContained(Box::new(
-                    task.pair.counterexample(compiled, &assignment),
-                )))
-            }
-            Some((_, ProbeEvent::Error(error))) => Err(error),
-            None => Ok(BagContainment::Contained { probes_checked: checked }),
-        };
-        if let Ok(verdict) = &result {
-            dioph_containment::observe_verdict(verdict);
-        }
-        sink(task.seq, result);
+        sink(task.seq, decider.verdict(&task.pair, event, checked));
         let mut state = self.state.lock().expect("scheduler users never panic");
         state.in_flight -= 1;
         drop(state);
@@ -469,25 +396,15 @@ impl<'a> Scheduler<'a> {
     }
 }
 
-/// Decides `pair` with up to `jobs` worker threads; bit-identical to
-/// `decider.decide_pair(pair)`, including the probe-space overflow error
-/// raised before anything is admitted.
+/// Decides the `units` units of `pair` (the decider's
+/// [`BagContainmentDecider::units`]) with up to `jobs` worker threads;
+/// the verdict is bit-identical to `decider.decide_pair(&pair)`. Also
+/// returns the scheduler's per-worker claimed-unit tallies (one entry per
+/// spawned worker): they belong to this run alone, unlike the
+/// process-global `engine.units_claimed` counter and pool stats.
 pub(crate) fn decide_pair_parallel(
     decider: &BagContainmentDecider,
-    pair: &CompiledPair,
-    jobs: usize,
-) -> Result<BagContainment, ContainmentError> {
-    let units = pair.probe_units()?;
-    run_probe_pool(decider, pair, units, jobs).0
-}
-
-/// The single-pair pool behind [`decide_pair_parallel`]. Also returns the
-/// scheduler's per-worker claimed-unit tallies (one entry per spawned
-/// worker): they belong to this run alone, unlike the process-global
-/// `engine.units_claimed` counter and pool stats.
-fn run_probe_pool(
-    decider: &BagContainmentDecider,
-    pair: &CompiledPair,
+    pair: Arc<CompiledPair>,
     units: usize,
     jobs: usize,
 ) -> (Result<BagContainment, ContainmentError>, Vec<u64>) {
@@ -495,7 +412,7 @@ fn run_probe_pool(
     // on a 3-probe pair gets 3 threads, not 8 (5 of which could only idle).
     let workers = jobs.min(units).max(1);
     let scheduler = Scheduler::new("probe", workers, 1);
-    scheduler.admit(0, PairRef::Borrowed(pair), UnitKind::ProbeSpace, units);
+    scheduler.admit(0, pair, units);
     scheduler.close();
     let slot: Mutex<Option<Result<BagContainment, ContainmentError>>> = Mutex::new(None);
     std::thread::scope(|s| {
@@ -528,10 +445,12 @@ mod tests {
         // checked (and counted) when containment holds.
         let q = parse_query("q(x1, x2) <- R(x1, x2), R('c1', x2), R^3(x1, 'c2')").unwrap();
         let decider = BagContainmentDecider::new(Algorithm::AllProbes);
-        let pair = CompiledPair::new(q.clone(), q.clone()).unwrap();
+        let pair = Arc::new(CompiledPair::new(q.clone(), q.clone()).unwrap());
         let sequential = decider.decide_pair(&pair).unwrap();
+        let units = decider.units(&pair).unwrap();
         for jobs in [1, 2, 3, 8, 64] {
-            let parallel = decide_pair_parallel(&decider, &pair, jobs).unwrap();
+            let parallel =
+                decide_pair_parallel(&decider, Arc::clone(&pair), units, jobs).0.unwrap();
             assert_eq!(parallel, sequential, "jobs={jobs}");
         }
         assert!(matches!(sequential, BagContainment::Contained { probes_checked: 16 }));
@@ -547,8 +466,9 @@ mod tests {
         let sequential = decider.decide(&q1, &q2).unwrap();
         let ce = sequential.counterexample().expect("pair must fail");
         for jobs in [2, 4, 16] {
-            let pair = CompiledPair::new(q1.clone(), q2.clone()).unwrap();
-            let parallel = decide_pair_parallel(&decider, &pair, jobs).unwrap();
+            let pair = Arc::new(CompiledPair::new(q1.clone(), q2.clone()).unwrap());
+            let units = decider.units(&pair).unwrap();
+            let parallel = decide_pair_parallel(&decider, pair, units, jobs).0.unwrap();
             assert_eq!(parallel.counterexample(), Some(ce), "jobs={jobs}");
             assert_eq!(parallel.to_json(), sequential.to_json(), "jobs={jobs}");
         }
@@ -560,13 +480,13 @@ mod tests {
         // for at most 4 workers (the cap is what keeps thread spawns
         // bounded by available work).
         let q = parse_query("q(x) <- R(x, x), S(x)").unwrap();
-        let pair = CompiledPair::new(q.clone(), q.clone()).unwrap();
-        let units = pair.probe_units().unwrap();
-        assert!(units < 64, "the example must be smaller than the job count");
+        let pair = Arc::new(CompiledPair::new(q.clone(), q.clone()).unwrap());
         let decider = BagContainmentDecider::new(Algorithm::AllProbes);
+        let units = decider.units(&pair).unwrap();
+        assert!(units < 64, "the example must be smaller than the job count");
         // The scheduler's own per-worker tallies, not the process-global
         // pool stats that concurrently running tests also write.
-        let (result, claims) = run_probe_pool(&decider, &pair, units, 64);
+        let (result, claims) = decide_pair_parallel(&decider, pair, units, 64);
         result.unwrap();
         assert!(!claims.is_empty());
         assert!(claims.len() <= units, "{} workers for {units} units", claims.len());
@@ -578,12 +498,12 @@ mod tests {
         // probe spaces — no unit is lost or double-claimed, even with many
         // workers racing tiny chunks.
         let q = parse_query("q(x1, x2) <- R(x1, x2), R('c1', x2), R^3(x1, 'c2')").unwrap();
-        let pair = CompiledPair::new(q.clone(), q.clone()).unwrap();
+        let pair = Arc::new(CompiledPair::new(q.clone(), q.clone()).unwrap());
         let decider = BagContainmentDecider::new(Algorithm::AllProbes);
         // Summed from this run's scheduler: the global `engine.units_claimed`
         // counter also moves with every sibling test deciding in parallel.
-        let units = pair.probe_units().unwrap();
-        let (result, claims) = run_probe_pool(&decider, &pair, units, 8);
+        let units = decider.units(&pair).unwrap();
+        let (result, claims) = decide_pair_parallel(&decider, pair, units, 8);
         result.unwrap();
         assert_eq!(claims.iter().sum::<u64>(), units as u64);
     }

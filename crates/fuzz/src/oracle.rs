@@ -1,5 +1,7 @@
 //! The three-way differential oracle and the disagreement shrinker.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -277,10 +279,10 @@ fn check_once(
     let bag_set = bag_set_containment(containee, containing).ok().map(|r| r.holds());
 
     let pair = match CompiledPair::new(containee.clone(), containing.clone()) {
-        Ok(pair) => pair,
+        Ok(pair) => Arc::new(pair),
         Err(e) => return (Err(e), set, bag_set, 0, None),
     };
-    let verdict = match engine_for(config).decide_pair(&pair) {
+    let verdict = match engine_for(config).decide_pair(Arc::clone(&pair)) {
         Ok(verdict) => verdict,
         Err(e) => return (Err(e), set, bag_set, 0, None),
     };

@@ -241,13 +241,6 @@ pub static ENGINE_PAIRS_DECIDED: Counter = Counter::new(
     C,
     "(containee, containing) pairs decided (equiv counts both directions)",
 );
-/// Probe indices claimed by pool workers.
-pub static ENGINE_PROBES_CLAIMED: Counter = Counter::new(
-    "engine.probes_claimed",
-    Vol,
-    C,
-    "probe indices claimed by probe-pool workers (includes claims skipped past the cutoff)",
-);
 /// Unit chunks stolen from a pair another worker started.
 pub static ENGINE_STEALS: Counter = Counter::new(
     "engine.steals",
@@ -301,7 +294,7 @@ pub static PARSE_QUERIES: Counter =
 /// Every registry cell, sorted by name (the sort is pinned by a test, so
 /// snapshot iteration — and therefore every rendered counter block — is in
 /// stable name order).
-static COUNTERS: [&Counter; 29] = [
+static COUNTERS: [&Counter; 28] = [
     &ALLOC_HEAP_ALLOCS,
     &ALLOC_MONOMIAL_INLINE,
     &ALLOC_MONOMIAL_SPILLS,
@@ -322,7 +315,6 @@ static COUNTERS: [&Counter; 29] = [
     &ENGINE_BATCH_QUEUE_DEPTH_MAX,
     &ENGINE_CLAIM_SPREAD_MAX,
     &ENGINE_PAIRS_DECIDED,
-    &ENGINE_PROBES_CLAIMED,
     &ENGINE_STEALS,
     &ENGINE_UNITS_CLAIMED,
     &ENGINE_VERDICTS_CONTAINED,

@@ -26,10 +26,10 @@
 //!   the same datalog notation `decide` reads;
 //! * `bench` — time a workload file and print per-pair latency statistics.
 //!
-//! `decide` and `equiv` also take `--jobs N`: with more than one job they
-//! route through [`DecisionEngine`], whose worker pool claims (pair,
-//! probe-index) units from one shared queue — verdicts are bit-identical
-//! to the sequential path.
+//! `decide` and `equiv` also take `--jobs N`: with more than one job, a
+//! pair with more than one unit (a probe sweep) fans out over
+//! [`DecisionEngine`]'s worker pool, which takes (pair, unit) claims from
+//! one shared queue — verdicts are bit-identical to the sequential path.
 //!
 //! Every deciding subcommand has a `--json` mode whose output embeds the
 //! [`BagContainment::to_json`] /
@@ -62,6 +62,10 @@ const DEFAULT_SEED: u64 = 0x2019_0630;
 const DEFAULT_COUNT: usize = 5;
 /// Default number of timed runs per pair in `bench`.
 const DEFAULT_REPEAT: usize = 5;
+/// The largest accepted `--jobs`: worker threads are spawned up front (one
+/// per job for `batch`, up to one per unit for `decide`/`equiv`/`fuzz`), so
+/// an unbounded value could ask the system for any number of threads.
+const MAX_JOBS: usize = 1024;
 
 const HELP: &str = "\
 diophantus — bag containment for conjunctive queries (PODS 2019)
@@ -112,8 +116,8 @@ OPTIONS (decide, equiv, batch, bench):
     --algorithm <NAME>   most-general (default) | all-probes | guess-check
     --budget <N>         Enumeration budget for guess-check (default 1000000).
     --engine <NAME>      simplex (default) | fourier-motzkin
-    --jobs <N>           Worker threads (default 1). Every mode schedules
-                         (pair, probe-index) units from one shared queue;
+    --jobs <N>           Worker threads (default 1, at most 1024). Every mode
+                         schedules (pair, unit) claims from one shared queue;
                          batch lets the pool drain each pair's probe space
                          in chunks. Verdicts are identical for any N.
     --json               Machine-readable output (JSON lines for batch).
@@ -157,9 +161,9 @@ OPTIONS (fuzz):
                          name, consecutive pairs) instead of generating.
     --inject <BUG>       Self-test: corrupt the decider with flip-verdict or
                          tamper-certificate and prove the oracle catches it.
-    --jobs <N>           Worker threads for the probe pool (default 1); the
-                         report is byte-identical across --jobs values by
-                         construction.
+    --jobs <N>           Worker threads for the probe pool (default 1, at most
+                         1024); the report is byte-identical across --jobs
+                         values by construction.
     --json               Machine-readable report; `diophantus verify`
                          re-checks its certificates and shrunk witnesses.
     --metrics            As for decide: counters on the report (a \"metrics\"
@@ -356,6 +360,17 @@ fn parse_count(text: &str, flag: &str) -> Result<usize, CliError> {
     text.parse().map_err(|_| CliError::Usage(format!("{flag} needs a number, got '{text}'")))
 }
 
+/// Rejects a `--jobs` value outside `1..=MAX_JOBS`.
+fn check_jobs(jobs: usize) -> Result<(), CliError> {
+    if jobs == 0 {
+        return Err(CliError::Usage("--jobs must be at least 1".to_string()));
+    }
+    if jobs > MAX_JOBS {
+        return Err(CliError::Usage(format!("--jobs must be at most {MAX_JOBS}")));
+    }
+    Ok(())
+}
+
 fn parse_decide_opts(args: &[String]) -> Result<DecideOpts, CliError> {
     let mut semantics = Semantics::Bag;
     let mut algorithm_name = "most-general".to_string();
@@ -464,9 +479,7 @@ fn parse_decide_opts(args: &[String]) -> Result<DecideOpts, CliError> {
     if repeat == 0 {
         return Err(CliError::Usage("--repeat must be at least 1".to_string()));
     }
-    if jobs == 0 {
-        return Err(CliError::Usage("--jobs must be at least 1".to_string()));
-    }
+    check_jobs(jobs)?;
     Ok(DecideOpts {
         semantics,
         algorithm,
@@ -811,8 +824,8 @@ fn cmd_decide(args: &[String], stdin: &mut dyn Read, mutual: bool) -> CliResult 
         precheck_containees(&sources, &spanned, mutual, opts.semantics.symbol())?;
     }
     let pairs = into_pairs(spanned.into_iter().map(|(_, q)| q.query).collect())?;
-    // One engine for every --jobs value: it runs the sequential decider
-    // itself at jobs <= 1 and for the single-probe most-general algorithm.
+    // One engine for every --jobs value: it runs the decider's own loop
+    // for one job or a single-unit pair (every most-general pair).
     let engine = DecisionEngine::new(opts.engine_config());
     let mut human = String::new();
     let mut json_pairs: Vec<String> = Vec::new();
@@ -1554,22 +1567,11 @@ fn cmd_verify(
         }
         files.push(arg.clone());
     }
-    let mut sources: Vec<(String, String)> = Vec::new();
-    if files.is_empty() {
-        let mut text = String::new();
-        stdin.read_to_string(&mut text).map_err(|e| CliError::Failure(format!("<stdin>: {e}")))?;
-        sources.push(("<stdin>".to_string(), text));
-    } else {
-        for file in &files {
-            let text = std::fs::read_to_string(file)
-                .map_err(|e| CliError::Failure(format!("{file}: {e}")))?;
-            sources.push((file.clone(), text));
-        }
-    }
+    let sources = read_sources(&files, stdin)?;
 
     let mut report = VerifyReport::default();
     let mut saw_entries = false;
-    for (name, text) in &sources {
+    for LoadedSource { name, text } in &sources {
         for (line_index, line) in text.lines().enumerate() {
             if line.trim().is_empty() {
                 continue;
@@ -1761,9 +1763,7 @@ fn parse_fuzz_opts(args: &[String]) -> Result<FuzzOpts, CliError> {
             "--cases only applies to generated runs; drop --replay".to_string(),
         ));
     }
-    if config.jobs == 0 {
-        return Err(CliError::Usage("--jobs must be at least 1".to_string()));
-    }
+    check_jobs(config.jobs)?;
     if config.max_adom == 0 {
         return Err(CliError::Usage("--max-adom must be at least 1".to_string()));
     }
@@ -3144,6 +3144,22 @@ mod tests {
         let (usage, message) = run_err(&["fuzz", "--replay", "/nonexistent-corpus-dir"], "");
         assert!(!usage, "a missing corpus directory is a failure, not a usage error");
         assert!(message.contains("/nonexistent-corpus-dir"), "{message}");
+    }
+
+    #[test]
+    fn jobs_above_the_ceiling_are_usage_errors_in_both_parsers() {
+        // The parsers alone: nothing is decided, so no worker is spawned
+        // even if the ceiling were missing.
+        let args = |jobs: usize| vec!["--jobs".to_string(), jobs.to_string()];
+        let too_many = format!("--jobs must be at most {MAX_JOBS}");
+        for result in [
+            parse_decide_opts(&args(MAX_JOBS + 1)).map(|_| ()),
+            parse_fuzz_opts(&args(MAX_JOBS + 1)).map(|_| ()),
+        ] {
+            assert!(matches!(result, Err(CliError::Usage(m)) if m == too_many));
+        }
+        assert_eq!(parse_decide_opts(&args(MAX_JOBS)).map(|o| o.jobs).ok(), Some(MAX_JOBS));
+        assert_eq!(parse_fuzz_opts(&args(MAX_JOBS)).map(|o| o.config.jobs).ok(), Some(MAX_JOBS));
     }
 
     #[test]

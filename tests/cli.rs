@@ -1,17 +1,17 @@
 //! End-to-end tests of the `diophantus` binary, driven through
 //! `std::process::Command` exactly as a user would drive it.
 //!
-//! The `--json` tests parse the CLI's output with a minimal JSON reader (the
-//! workspace has no serde) and re-verify the reported counterexample bag with
+//! The `--json` tests parse the CLI's output with the crate's own JSON
+//! reader, `diophantus::jsonv` (the workspace has no serde), and re-verify the reported counterexample bag with
 //! the independent Equation-2 evaluator (`bag_answer_multiplicity`), closing
 //! the loop: the binary's machine-readable verdicts are checked against the
 //! library, not against the binary's own bookkeeping.
 
-use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::Path;
 use std::process::{Command, Output, Stdio};
 
+use diophantus::jsonv::Json;
 use diophantus::{bag_answer_multiplicity, parse_program, parse_query, BagInstance, Term};
 
 const BIN: &str = env!("CARGO_BIN_EXE_diophantus");
@@ -43,203 +43,6 @@ fn stdout_of(args: &[&str], stdin: &str) -> String {
         String::from_utf8_lossy(&out.stderr)
     );
     String::from_utf8(out.stdout).expect("stdout must be UTF-8")
-}
-
-// ---------------------------------------------------------------------------
-// A minimal JSON reader, sufficient for the CLI's output.
-// ---------------------------------------------------------------------------
-
-#[derive(Clone, PartialEq, Debug)]
-enum Json {
-    Null,
-    Bool(bool),
-    Number(f64),
-    String(String),
-    Array(Vec<Json>),
-    Object(BTreeMap<String, Json>),
-}
-
-impl Json {
-    fn parse(text: &str) -> Json {
-        let mut p = JsonParser { bytes: text.as_bytes(), pos: 0 };
-        let value = p.value();
-        p.skip_ws();
-        assert_eq!(p.pos, p.bytes.len(), "trailing garbage after JSON value in: {text}");
-        value
-    }
-
-    fn get(&self, key: &str) -> &Json {
-        match self {
-            Json::Object(map) => map.get(key).unwrap_or_else(|| panic!("missing key {key}")),
-            other => panic!("expected an object with key {key}, got {other:?}"),
-        }
-    }
-
-    fn as_str(&self) -> &str {
-        match self {
-            Json::String(s) => s,
-            other => panic!("expected a string, got {other:?}"),
-        }
-    }
-
-    fn as_array(&self) -> &[Json] {
-        match self {
-            Json::Array(items) => items,
-            other => panic!("expected an array, got {other:?}"),
-        }
-    }
-
-    fn as_f64(&self) -> f64 {
-        match self {
-            Json::Number(n) => *n,
-            other => panic!("expected a number, got {other:?}"),
-        }
-    }
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl JsonParser<'_> {
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b) if b.is_ascii_whitespace()) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) {
-        self.skip_ws();
-        assert_eq!(self.bytes.get(self.pos), Some(&b), "expected '{}' at {}", b as char, self.pos);
-        self.pos += 1;
-    }
-
-    fn eat(&mut self, b: u8) -> bool {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn literal(&mut self, text: &str) {
-        assert!(
-            self.bytes[self.pos..].starts_with(text.as_bytes()),
-            "expected literal {text} at {}",
-            self.pos
-        );
-        self.pos += text.len();
-    }
-
-    fn value(&mut self) -> Json {
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            Some(b'{') => {
-                self.pos += 1;
-                let mut map = BTreeMap::new();
-                if !self.eat(b'}') {
-                    loop {
-                        self.skip_ws();
-                        let key = match self.value() {
-                            Json::String(s) => s,
-                            other => panic!("object keys must be strings, got {other:?}"),
-                        };
-                        self.expect(b':');
-                        map.insert(key, self.value());
-                        if !self.eat(b',') {
-                            break;
-                        }
-                    }
-                    self.expect(b'}');
-                }
-                Json::Object(map)
-            }
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                if !self.eat(b']') {
-                    loop {
-                        items.push(self.value());
-                        if !self.eat(b',') {
-                            break;
-                        }
-                    }
-                    self.expect(b']');
-                }
-                Json::Array(items)
-            }
-            Some(b'"') => {
-                self.pos += 1;
-                let mut out = String::new();
-                loop {
-                    match self.bytes[self.pos] {
-                        b'"' => {
-                            self.pos += 1;
-                            break;
-                        }
-                        b'\\' => {
-                            self.pos += 1;
-                            match self.bytes[self.pos] {
-                                b'"' => out.push('"'),
-                                b'\\' => out.push('\\'),
-                                b'/' => out.push('/'),
-                                b'n' => out.push('\n'),
-                                b't' => out.push('\t'),
-                                b'r' => out.push('\r'),
-                                b'u' => {
-                                    let hex = std::str::from_utf8(
-                                        &self.bytes[self.pos + 1..self.pos + 5],
-                                    )
-                                    .expect("4 hex digits");
-                                    let code = u32::from_str_radix(hex, 16).expect("hex escape");
-                                    out.push(char::from_u32(code).expect("valid scalar"));
-                                    self.pos += 4;
-                                }
-                                other => panic!("unsupported escape \\{}", other as char),
-                            }
-                            self.pos += 1;
-                        }
-                        _ => {
-                            // Consume one UTF-8 character.
-                            let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                                .expect("valid UTF-8 tail");
-                            let ch = rest.chars().next().expect("non-empty tail");
-                            out.push(ch);
-                            self.pos += ch.len_utf8();
-                        }
-                    }
-                }
-                Json::String(out)
-            }
-            Some(b't') => {
-                self.literal("true");
-                Json::Bool(true)
-            }
-            Some(b'f') => {
-                self.literal("false");
-                Json::Bool(false)
-            }
-            Some(b'n') => {
-                self.literal("null");
-                Json::Null
-            }
-            Some(_) => {
-                let start = self.pos;
-                while matches!(
-                    self.bytes.get(self.pos),
-                    Some(b) if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E')
-                ) {
-                    self.pos += 1;
-                }
-                let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII");
-                Json::Number(text.parse().unwrap_or_else(|_| panic!("bad number '{text}'")))
-            }
-            None => panic!("unexpected end of JSON input"),
-        }
-    }
 }
 
 /// Reconstructs a [`Term`] from its datalog notation, by parsing a synthetic
@@ -274,30 +77,39 @@ fn counterexample_bags_are_independently_confirmed() {
     // A failing pair: dropping a conjunct is set- but not bag-containment.
     let input = "q(x) <- R(x, x), S(x). p(x) <- R(x, x).";
     let out = stdout_of(&["decide", "--json"], input);
-    let doc = Json::parse(&out);
-    let pairs = doc.get("pairs").as_array();
+    let doc = Json::parse(&out).expect("decide --json must be one JSON value");
+    let pairs = doc.get("pairs").and_then(Json::as_array).expect("a pairs array");
     assert_eq!(pairs.len(), 1);
-    let result = pairs[0].get("result");
-    assert_eq!(result.get("verdict").as_str(), "not_contained");
+    let result = pairs[0].get("result").expect("a result member");
+    let text = |value: &Json, key: &str| -> String {
+        value.get(key).and_then(Json::as_str).unwrap_or_else(|| panic!("string {key}")).to_string()
+    };
+    assert_eq!(text(result, "verdict"), "not_contained");
 
     // Rebuild the witness from the machine-readable output alone.
-    let ce = result.get("counterexample");
-    let probe: Vec<Term> =
-        ce.get("probe").as_array().iter().map(|t| term_from_text(t.as_str())).collect();
-    let bag = BagInstance::from_u64_multiplicities(ce.get("bag").as_array().iter().map(|entry| {
-        let atom = atom_from_text(entry.get("atom").as_str());
-        let mult: u64 = entry.get("multiplicity").as_str().parse().expect("small multiplicity");
+    let ce = result.get("counterexample").expect("a counterexample member");
+    let probe: Vec<Term> = ce
+        .get("probe")
+        .and_then(Json::as_array)
+        .expect("a probe array")
+        .iter()
+        .map(|t| term_from_text(t.as_str().expect("probe terms are strings")))
+        .collect();
+    let bag_entries = ce.get("bag").and_then(Json::as_array).expect("a bag array");
+    let bag = BagInstance::from_u64_multiplicities(bag_entries.iter().map(|entry| {
+        let atom = atom_from_text(&text(entry, "atom"));
+        let mult: u64 = text(entry, "multiplicity").parse().expect("small multiplicity");
         (atom, mult)
     }));
-    let containee = parse_query(pairs[0].get("containee").as_str()).unwrap();
-    let containing = parse_query(pairs[0].get("containing").as_str()).unwrap();
+    let containee = parse_query(&text(&pairs[0], "containee")).unwrap();
+    let containing = parse_query(&text(&pairs[0], "containing")).unwrap();
 
     // The independent Equation-2 evaluator must agree with the reported
     // multiplicities, and they must genuinely violate containment.
     let lhs = bag_answer_multiplicity(&containee, &bag, &probe);
     let rhs = bag_answer_multiplicity(&containing, &bag, &probe);
-    assert_eq!(lhs.to_string(), ce.get("containee_multiplicity").as_str());
-    assert_eq!(rhs.to_string(), ce.get("containing_multiplicity").as_str());
+    assert_eq!(lhs.to_string(), text(ce, "containee_multiplicity"));
+    assert_eq!(rhs.to_string(), text(ce, "containing_multiplicity"));
     assert!(lhs > rhs, "the reported bag must violate containment ({lhs} vs {rhs})");
 }
 
@@ -310,9 +122,9 @@ fn json_output_parses_for_every_subcommand() {
         (vec!["bench", "--json", "--repeat", "1"], ACCEPTANCE),
     ] {
         let out = stdout_of(&args, stdin);
-        let doc = Json::parse(&out);
+        let doc = Json::parse(&out).expect("--json output must be one JSON value");
         assert!(
-            matches!(doc.get("pairs"), Json::Array(items) if !items.is_empty()),
+            matches!(doc.get("pairs"), Some(Json::Array(items)) if !items.is_empty()),
             "{args:?} must report at least one pair"
         );
     }
@@ -405,11 +217,11 @@ fn gen_pipes_into_batch_with_json_lines_identical_across_job_counts() {
     let parallel = stdout_of(&["batch", "--jobs", "2", "--json"], &workload);
     assert_eq!(parallel.lines().count(), 4, "{parallel}");
     for (i, line) in parallel.lines().enumerate() {
-        let doc = Json::parse(line);
-        assert_eq!(doc.get("id"), &Json::Number((i + 1) as f64), "{line}");
+        let doc = Json::parse(line).expect("every batch line must be one JSON value");
+        assert_eq!(doc.get("id"), Some(&Json::Number((i + 1) as f64)), "{line}");
         assert_eq!(
-            doc.get("result").get("verdict").as_str(),
-            "contained",
+            doc.get("result").and_then(|r| r.get("verdict")).and_then(Json::as_str),
+            Some("contained"),
             "specialisation pairs are contained by construction: {line}"
         );
     }
@@ -723,9 +535,24 @@ fn probe_space_overflow_fails_decide_with_a_diagnostic_not_a_panic() {
             "{stderr}"
         );
     }
-    // The most-general route never sweeps the probe space: it still decides.
-    let out = stdout_of(&["decide", "--json"], &big);
-    assert!(out.contains("\"verdict\":\"contained\""), "{out}");
+    // The most-general route never sweeps the probe space: it still
+    // decides, on the sequential loop and when more jobs are offered.
+    for jobs in ["1", "2"] {
+        let out = stdout_of(&["decide", "--json", "--jobs", jobs], &big);
+        assert!(out.contains("\"verdict\":\"contained\""), "jobs={jobs}: {out}");
+    }
+}
+
+#[test]
+fn decide_rejects_jobs_above_the_ceiling() {
+    // section2.dl holds most-general pairs of one unit each, so even a
+    // missing ceiling would spawn at most one worker here.
+    let file = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/workloads/section2.dl");
+    let out = run(&["decide", "--jobs", "1025", file.to_str().unwrap()], "");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--jobs must be at most 1024"), "{stderr}");
+    assert!(out.stdout.is_empty());
 }
 
 #[test]
@@ -806,14 +633,19 @@ fn check_json_reports_every_generated_suite_clean() {
         let workload = stdout_of(&["gen", kind, "--count", "3", "--seed", "2019"], "");
         let out = run(&["check", "--deny", "warnings", "--json"], &workload);
         assert_eq!(out.status.code(), Some(0), "gen {kind} must lint clean");
-        let doc = Json::parse(&String::from_utf8(out.stdout).unwrap());
-        let summary = doc.get("summary");
-        assert_eq!(summary.get("errors").as_f64(), 0.0, "{kind}");
-        assert_eq!(summary.get("warnings").as_f64(), 0.0, "{kind}");
+        let doc = Json::parse(&String::from_utf8(out.stdout).unwrap())
+            .expect("check --json must be one JSON value");
+        let summary = doc.get("summary").expect("a summary member");
+        assert_eq!(summary.get("errors"), Some(&Json::Number(0.0)), "{kind}");
+        assert_eq!(summary.get("warnings"), Some(&Json::Number(0.0)), "{kind}");
         // Every generated pair is inside the paper fragment.
-        for file in doc.get("files").as_array() {
-            for pair in file.get("pairs").as_array() {
-                assert_eq!(pair.get("fragment").as_str(), "paper-decidable", "{kind}");
+        for file in doc.get("files").and_then(Json::as_array).expect("a files array") {
+            for pair in file.get("pairs").and_then(Json::as_array).expect("a pairs array") {
+                assert_eq!(
+                    pair.get("fragment").and_then(Json::as_str),
+                    Some("paper-decidable"),
+                    "{kind}"
+                );
             }
         }
     }
